@@ -43,12 +43,8 @@ WALL_CLOCK_ALLOWED_DIRS = ("benchmarks/",)
 
 #: Modules allowed to read process environment (SIM007): the CLI and
 #: explicit configuration modules.  Everything else must take configuration
-#: as arguments so runs are reproducible from their inputs alone.  The shard
-#: scheduler's *worker bootstrap* is the one sanctioned exception: picking a
-#: multiprocessing start method configures the host process topology, never
-#: simulated behavior (any start method yields bit-identical results), so it
-#: may read ``REPRO_PARALLEL_START_METHOD`` without making runs env-dependent.
-ENVIRON_ALLOWLIST = ("cli.py", "simulation/sharding.py")
+#: as arguments so runs are reproducible from their inputs alone.
+ENVIRON_ALLOWLIST = ("cli.py",)
 ENVIRON_ALLOWED_SUFFIXES = ("config.py",)
 
 #: Stdlib ``random`` module-level functions that draw from (or reseed) the

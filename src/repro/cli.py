@@ -175,15 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--parallel", type=int, default=None, metavar="N",
         help="shard the fleet across N engine workers (bit-identical to "
-             "serial; 1 runs the shard barrier loop in-process; coupled "
+             "serial; 1 runs the shards in-process; coupled "
              "configurations fall back to the serial engine with the "
              "reasons recorded in --json provenance)",
-    )
-    fleet.add_argument(
-        "--epoch-s", type=float, default=None, metavar="S",
-        help="barrier spacing for --parallel in simulated seconds "
-             "(default: trace window / 64; any positive value is "
-             "parity-correct)",
     )
     fleet.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -471,8 +465,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     static_fleet, trace, failures = prepare_fleet_run(
         preset, clusters=args.clusters, burst_clusters=args.burst_clusters, seed=args.seed,
         scale=args.scale, policy=args.policy, burst=False, model=model,
-        chaos=args.chaos, fault_seed=args.fault_seed, parallel=args.parallel,
-        epoch_s=args.epoch_s, **reliability_kwargs,
+        chaos=args.chaos, fault_seed=args.fault_seed, parallel=args.parallel, **reliability_kwargs,
     )
     plane = _arm_observability(static_fleet) if observe and args.no_burst else None
     static_result = static_fleet.run(trace, failures=failures)
@@ -515,8 +508,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         burst_fleet, trace, failures = prepare_fleet_run(
             preset, clusters=args.clusters, burst_clusters=args.burst_clusters, seed=args.seed,
             scale=args.scale, policy=args.policy, burst=True, model=model,
-            chaos=args.chaos, fault_seed=args.fault_seed, parallel=args.parallel,
-            epoch_s=args.epoch_s, **reliability_kwargs,
+            chaos=args.chaos, fault_seed=args.fault_seed, parallel=args.parallel, **reliability_kwargs,
         )
         if observe:
             plane = _arm_observability(burst_fleet)
@@ -554,8 +546,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             info = payload["parallel"]
             if info["mode"] == "parallel":
                 print(
-                    f"  parallel: {info['shards']} shards / {info['workers']} workers, "
-                    f"{info['epochs']} epochs (bit-identical to serial)"
+                    f"  parallel: {info['shards']} shards / {info['workers']} workers "
+                    f"(bit-identical to serial)"
                 )
             else:
                 print(f"  parallel: serial fallback — {'; '.join(info['reasons'])}")

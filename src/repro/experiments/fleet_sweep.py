@@ -50,7 +50,6 @@ def prepare_fleet_run(
     deadline_ms: float | None = None,
     reliability_off: bool = False,
     parallel: int | None = None,
-    epoch_s: float | None = None,
     **cluster_kwargs,
 ) -> tuple[FleetSimulation, Trace, tuple[tuple[float, str], ...]]:
     """Build one fleet run: the simulation, its trace, and its failures.
@@ -103,8 +102,6 @@ def prepare_fleet_run(
         parallel: Request sharded execution with this many workers (see
             :mod:`repro.simulation.sharding`); coupled configurations fall
             back to the serial engine with recorded reasons.
-        epoch_s: Barrier spacing for sharded execution (``None`` derives a
-            default from the trace window).
         **cluster_kwargs: Forwarded to every member
             :class:`~repro.core.cluster.ClusterSimulation` (``fast_forward``,
             batching/routing overrides, ...).
@@ -158,7 +155,6 @@ def prepare_fleet_run(
             router=policy,
             provisioner=provisioner_config or FleetProvisionerConfig(),
             parallel=parallel,
-            epoch_s=epoch_s,
             **chaos_kwargs,
             **cluster_kwargs,
         )
@@ -169,7 +165,6 @@ def prepare_fleet_run(
             model=model,
             router=policy,
             parallel=parallel,
-            epoch_s=epoch_s,
             **chaos_kwargs,
             **cluster_kwargs,
         )

@@ -323,17 +323,14 @@ class FleetSimulation:
             them.  Any of these four being set creates the fleet's
             :class:`~repro.fleet.reliability.ReliabilityCoordinator`.
         parallel: Request sharded execution with this many workers (see
-            :mod:`repro.simulation.sharding`).  ``1`` runs the shard
-            barrier loop in-process (no worker processes); ``None`` (the
+            :mod:`repro.simulation.sharding`).  ``1`` runs the shards one
+            after another in-process (no worker processes); ``None`` (the
             default) keeps the plain serial engine.  Fleets whose
             configuration couples clusters mid-run (non-weighted-rr
             routing, provisioner, reliability/admission/lifecycle, armed
             faults, observability, autoscalers) fall back to the serial
             path automatically, recording the reasons in
             :attr:`parallel_info`.
-        epoch_s: Barrier spacing for sharded execution; ``None`` derives a
-            default from the trace window.  Any positive value is
-            parity-correct — this only bounds shard lag.
         **cluster_kwargs: Forwarded to every member
             :class:`ClusterSimulation` (batching, routing, thresholds,
             ``fast_forward``, ...).
@@ -357,7 +354,6 @@ class FleetSimulation:
         deadlines: DeadlineConfig | None = None,
         degraded: DegradedConfig | None = None,
         parallel: int | None = None,
-        epoch_s: float | None = None,
         **cluster_kwargs,
     ) -> None:
         if num_clusters < 1:
@@ -374,11 +370,8 @@ class FleetSimulation:
             raise ValueError("burst_clusters require a provisioner to activate them")
         if parallel is not None and parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {parallel}")
-        if epoch_s is not None and epoch_s <= 0:
-            raise ValueError(f"epoch_s must be positive, got {epoch_s}")
         self.model = model
         self.parallel = parallel
-        self.epoch_s = epoch_s
         #: Provenance of the last run's execution mode: ``None`` until a
         #: run with ``parallel`` set completes (or falls back), then a dict
         #: with requested/effective worker and shard counts, the mode, and
@@ -812,9 +805,9 @@ class FleetSimulation:
         execute arrivals in ``(arrival_time, trace_index)`` heap order, and
         weighted-rr routing depends only on that order, so pre-routing
         through the same router instance reproduces the serial assignment
-        exactly.  Shards then simulate their cluster groups between
-        bounded-lag barriers (:func:`repro.simulation.sharding.execute_shards`)
-        and the results merge positionally by trace index and machine name.
+        exactly.  Each shard then simulates its cluster group to completion
+        (:func:`repro.simulation.sharding.execute_shards`) and the results
+        merge positionally by trace index and machine name.
         """
         from repro.simulation import sharding
 
@@ -829,21 +822,12 @@ class FleetSimulation:
             for name in names:
                 shard_of[name] = shard_index
         order = sorted(range(len(requests)), key=lambda i: (requests[i].arrival_time, i))
-        arrivals: list[list[tuple[float, sharding.ArrivalMessage]]] = [
-            [] for _ in plan.assignments
-        ]
+        arrivals: list[list[sharding.RoutedArrival]] = [[] for _ in plan.assignments]
         for index in order:
             request = requests[index]
             cluster = self.router.route(request)
             cluster.requests.append(request)
-            arrivals[shard_of[cluster.name]].append(
-                (request.arrival_time, (index, request.descriptor, cluster.name))
-            )
-        epoch_s = (
-            self.epoch_s
-            if self.epoch_s is not None
-            else sharding.default_epoch_s(trace.duration_s)
-        )
+            arrivals[shard_of[cluster.name]].append((index, request.descriptor, cluster.name))
         cluster_kwargs = tuple(sorted(self._cluster_kwargs.items()))
         specs = [
             sharding.ShardSpec(
@@ -857,9 +841,7 @@ class FleetSimulation:
             )
             for shard_index, names in enumerate(plan.assignments)
         ]
-        results, epochs, last_event_time = sharding.execute_shards(
-            specs, arrivals, epoch_s, use_processes=plan.workers > 0
-        )
+        results = sharding.execute_shards(specs, arrivals, use_processes=plan.workers > 0)
         by_name = {cluster.name: cluster for cluster in self.clusters}
         for shard_result in results:
             for row in shard_result.request_rows:
@@ -874,7 +856,7 @@ class FleetSimulation:
             completed = sum(1 for request in cluster.requests if request.is_complete)
             self.router.traffic[cluster.name].completed = completed
             self._completed += completed
-        duration = max(last_event_time, trace.duration_s)
+        duration = max(max(r.end_time for r in results), trace.duration_s)
         cluster_results = {
             cluster.name: cluster.simulation.finish(cluster.requests, trace.name, duration)
             for cluster in self.clusters
@@ -884,8 +866,7 @@ class FleetSimulation:
             "mode": "parallel",
             "workers": plan.workers,
             "shards": plan.shard_count,
-            "epoch_s": epoch_s,
-            "epochs": epochs,
+            "epochs": 1,  # one fan-out per run; perfbench reports this key
             "events_processed": sum(r.events_processed for r in results),
             "events_cancelled": sum(r.events_cancelled for r in results),
             "events_coalesced": sum(r.events_coalesced for r in results),

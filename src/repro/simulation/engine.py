@@ -130,7 +130,6 @@ class SimulationEngine:
         self._events_coalesced = 0
         self._tombstones = 0  # cancelled events still sitting in the heap
         self._heap_compactions = 0
-        self._last_event_time = 0.0
         if sanitize is None:
             # Run-mode debug flag, deliberately env-driven so any entry point
             # can arm the sanitizer without plumbing; it only observes, so it
@@ -165,16 +164,6 @@ class SimulationEngine:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def last_event_time(self) -> float:
-        """Time of the last *executed* event (0.0 before any event fires).
-
-        Unlike :attr:`now`, never advanced by a ``run(until=...)`` horizon
-        clamp — the sharded fleet runner uses this to reconstruct the serial
-        engine's end-of-run clock from barrier-clamped shard engines.
-        """
-        return self._last_event_time
 
     @property
     def events_processed(self) -> int:
@@ -319,7 +308,6 @@ class SimulationEngine:
                 continue
             event._mark_fired()
             self._now = time
-            self._last_event_time = time
             self._events_processed += 1
             if sanitizer is None:
                 event.action()

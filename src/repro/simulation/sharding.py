@@ -3,27 +3,21 @@
 A :class:`~repro.fleet.fleet.FleetSimulation` normally advances every member
 cluster on one shared :class:`~repro.simulation.engine.SimulationEngine`.
 This module partitions the fleet into *shards* — disjoint cluster groups,
-each with its own engine — that advance independently between bounded-lag
-barriers, optionally on ``multiprocessing`` workers.  Cross-shard
-interactions only occur at epoch boundaries: the coordinator routes every
-arrival up front (the router is the single cross-shard decision point of a
-decomposable fleet) and streams compact, deterministic arrival batches into
-each shard at each barrier; shards return completions, per-machine metrics,
-and engine counters after the final drain, and the coordinator merges them
-into one :class:`~repro.fleet.fleet.FleetResult`.
+each with its own engine — and runs them as a one-shot fan-out, optionally on
+``multiprocessing`` workers.  The coordinator routes every arrival up front
+(the router is the single cross-shard decision point of a decomposable
+fleet) and hands each shard its whole routed arrival list; each shard
+schedules those arrivals, drains its engine, and returns completions,
+per-machine metrics, and engine counters, which the coordinator merges into
+one :class:`~repro.fleet.fleet.FleetResult`.
 
 Decomposability (:func:`plan_shards`) is conservative: a fleet qualifies for
 parallel execution only when no component feeds cross-cluster state back
-into routing or scheduling mid-run — the ``weighted-rr`` policy (a smooth
-weighted round-robin over static machine counts, no completion feedback,
-no RNG) with no provisioner, no reliability/admission/lifecycle layers, no
-armed fault plane, no observability plane, and no per-cluster autoscalers
-(their stop condition couples to the fleet-wide census).  Plain machine
-failure injections *are* shard-local (requests restart on the surviving
-machines of the same cluster) and stay eligible.  Anything else falls back
-to the serial engine with the blocking reasons recorded in the plan — the
-fallback is the exact serial code path, so results are trivially
-byte-identical.
+into routing or scheduling mid-run (each coupling it checks is a recorded
+reason).  Plain machine failure injections *are* shard-local (requests
+restart on the surviving machines of the same cluster) and stay eligible.
+Anything else falls back to the exact serial code path, so results are
+trivially byte-identical.
 
 Determinism of the parallel path rests on three facts, each load-bearing:
 
@@ -32,25 +26,23 @@ Determinism of the parallel path rests on three facts, each load-bearing:
   trace order, so the heap executes them by ``(arrival_time, trace_index)``;
   the coordinator routes in exactly that sort order, through the *same*
   router instance, so every request lands on the same cluster.
-* Epoch batches use a strict ``< barrier`` cut while the shard engine runs
-  ``until=barrier`` inclusively: local events at exactly the barrier time
-  (priorities 0/1) execute in the closing epoch, arrivals at exactly the
-  barrier (priority 2) fire first thing in the next epoch — the same
-  relative order the serial priority ladder produces.  A decomposable fleet
-  schedules no priority > 2 events, so nothing can fire between them.
+* A shard's heap replays its slice of the serial heap.  Each shard schedules
+  its failure injections and then its arrivals (in that same sort order),
+  just as the serial fleet does, and a decomposable fleet never schedules an
+  event that reaches another cluster — so the serial events touching a
+  shard's clusters execute in the shard in the same relative order.
 * Shard merge is positional: completions are keyed by trace index, machine
   stats by machine name, so the merge is independent of worker count,
-  shard assignment, and message arrival order.
+  shard assignment, and worker completion order.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import traceback
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import ARRIVAL_EVENT_PRIORITY
@@ -58,21 +50,14 @@ from repro.simulation.request import Request, RequestPhase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (fleet layers above simulation)
     from multiprocessing.connection import Connection
-    from multiprocessing.context import BaseContext
+    from multiprocessing.process import BaseProcess
 
-    from repro.core.cluster import ClusterSimulation
     from repro.fleet.fleet import FleetSimulation
 
 
-#: Default number of epochs a trace window is divided into when the caller
-#: does not pin ``epoch_s``.  Any positive epoch length is parity-correct
-#: (barriers only bound shard lag, they never reorder events); this is a
-#: throughput knob balancing message batching against peak memory.
-DEFAULT_EPOCH_COUNT = 64
-
-#: A routed arrival crossing into a shard: ``(trace_index, descriptor,
+#: A routed arrival handed to a shard: ``(trace_index, descriptor,
 #: cluster_name)``.  The descriptor carries the arrival time.
-ArrivalMessage = tuple[int, Any, str]
+RoutedArrival = tuple[int, Any, str]
 
 
 class ShardWorkerError(RuntimeError):
@@ -85,8 +70,8 @@ class ShardPlan:
 
     Attributes:
         requested: Worker count the caller asked for (``parallel=N``).
-        workers: OS worker processes to launch (0 = in-process shard
-            execution, used for ``N=1`` so the barrier logic still runs).
+        workers: OS worker processes to launch (0 = the shards run one
+            after another in the coordinator process, used for ``N=1``).
         shard_count: Engine shards (min of requested workers and clusters).
         mode: ``"parallel"`` when the fleet decomposes, ``"serial"`` when it
             must fall back to the single shared engine.
@@ -126,17 +111,16 @@ class ShardSpec:
 
 @dataclass
 class ShardResult:
-    """A shard's complete output, shipped back after the final drain.
+    """A shard's complete output, shipped back after its engine drains.
 
     ``request_rows`` hold one tuple per routed request (see
     :func:`request_row`); ``machine_stats`` maps cluster name to that
     cluster's :meth:`~repro.metrics.collectors.MetricsCollector.export_machine_stats`
-    payload.  ``last_event_time`` is the shard engine's last *executed*
-    event time (its clock may sit later, clamped to the final barrier).
+    payload.  ``end_time`` is the drained shard engine's clock, i.e. its
+    last executed event time.
     """
 
-    shard_id: int
-    last_event_time: float
+    end_time: float
     events_processed: int
     events_cancelled: int
     events_coalesced: int
@@ -214,11 +198,6 @@ def plan_shards(
     )
 
 
-def default_epoch_s(duration_s: float) -> float:
-    """Default barrier spacing: the trace window split into a fixed epoch count."""
-    return max(duration_s, 1.0) / DEFAULT_EPOCH_COUNT
-
-
 # -- request row transfer ---------------------------------------------------------
 
 
@@ -269,323 +248,129 @@ def apply_request_row(request: Request, row: tuple) -> None:
     request._token_times = row[13]
 
 
-# -- shard runtime (one engine, one cluster group) --------------------------------
+# -- running shards ---------------------------------------------------------------
 
 
-class _ShardRuntime:
-    """One shard's live state: a private engine driving its cluster group.
+def run_shard(spec: ShardSpec, arrivals: Sequence[RoutedArrival]) -> ShardResult:
+    """Simulate one shard to completion and package its output for the merge.
 
-    Shared verbatim by the in-process executor (``parallel=1``) and the
-    worker processes, so both paths execute identical code between barriers.
+    Builds the shard's clusters on a private engine, arms their failure
+    injections, schedules every routed arrival, and drains the engine.
+    ``arrivals`` must be in serial routing order (sorted by arrival time
+    with trace order breaking ties).
     """
+    from repro.core.cluster import ClusterSimulation
 
-    def __init__(self, spec: ShardSpec) -> None:
-        from repro.core.cluster import ClusterSimulation
-
-        self.spec = spec
-        self.engine = SimulationEngine(sanitize=spec.sanitize)
-        sanitizer = self.engine.sanitizer
-        if sanitizer is not None:
-            # Mirror the serial fleet's stream discipline: trace and fault
-            # randomness is spent before the event loop runs.
-            sanitizer.register_stream("trace", run_phase=False)
-            sanitizer.register_stream("fault", run_phase=False)
-        self.simulations: dict[str, ClusterSimulation] = {}
-        self.roster: list[tuple[int, Request]] = []
-        kwargs = dict(spec.cluster_kwargs)
-        for name in spec.cluster_names:
-            simulation = ClusterSimulation(
-                spec.design,
-                model=spec.model,
-                engine=self.engine,
-                name=name,
-                **kwargs,
-            )
-            prefix = f"{name}/"
-            simulation.prepare(
-                [(time_s, machine) for time_s, machine in spec.failures if machine.startswith(prefix)]
-            )
-            self.simulations[name] = simulation
-
-    def deliver(self, batch: Sequence[ArrivalMessage]) -> None:
-        """Schedule a barrier batch of routed arrivals on the shard engine."""
-        for index, descriptor, cluster_name in batch:
-            request = Request(descriptor=descriptor)
-            scheduler = self.simulations[cluster_name].scheduler
-            self.roster.append((index, request))
-            self.engine.schedule_at(
-                request.arrival_time,
-                lambda sched=scheduler, req=request: sched.submit(req),
-                priority=ARRIVAL_EVENT_PRIORITY,
-                tag=f"fleet-arrival:{request.request_id}",
-            )
-
-    def advance(self, barrier: float) -> None:
-        """Run the shard up to (and including events at) the barrier time."""
-        self.engine.run(until=barrier)
-
-    def drain(self) -> float:
-        """Run the shard to completion; returns its last executed event time."""
-        self.engine.run()
-        return self.engine.last_event_time
-
-    def finish(self) -> ShardResult:
-        """Package the shard's requests, metrics, and counters for the merge."""
-        engine = self.engine
-        return ShardResult(
-            shard_id=self.spec.shard_id,
-            last_event_time=engine.last_event_time,
-            events_processed=engine.events_processed,
-            events_cancelled=engine.events_cancelled,
-            events_coalesced=engine.events_coalesced,
-            heap_compactions=engine.heap_compactions,
-            request_rows=[request_row(index, request) for index, request in self.roster],
-            machine_stats={
-                name: simulation.metrics.export_machine_stats()
-                for name, simulation in self.simulations.items()
-            },
+    engine = SimulationEngine(sanitize=spec.sanitize)
+    sanitizer = engine.sanitizer
+    if sanitizer is not None:
+        # Mirror the serial fleet's stream discipline: trace and fault
+        # randomness is spent before the event loop runs.
+        sanitizer.register_stream("trace", run_phase=False)
+        sanitizer.register_stream("fault", run_phase=False)
+    kwargs = dict(spec.cluster_kwargs)
+    simulations: dict[str, ClusterSimulation] = {}
+    for name in spec.cluster_names:
+        simulation = ClusterSimulation(spec.design, model=spec.model, engine=engine, name=name, **kwargs)
+        prefix = f"{name}/"
+        simulation.prepare(
+            [(time_s, machine) for time_s, machine in spec.failures if machine.startswith(prefix)]
         )
+        simulations[name] = simulation
+    roster: list[tuple[int, Request]] = []
+    for index, descriptor, cluster_name in arrivals:
+        request = Request(descriptor=descriptor)
+        roster.append((index, request))
+        engine.schedule_at(
+            request.arrival_time,
+            lambda sched=simulations[cluster_name].scheduler, req=request: sched.submit(req),
+            priority=ARRIVAL_EVENT_PRIORITY,
+            tag=f"fleet-arrival:{request.request_id}",
+        )
+    engine.run()
+    return ShardResult(
+        end_time=engine.now,
+        events_processed=engine.events_processed,
+        events_cancelled=engine.events_cancelled,
+        events_coalesced=engine.events_coalesced,
+        heap_compactions=engine.heap_compactions,
+        request_rows=[request_row(index, request) for index, request in roster],
+        machine_stats={
+            name: simulation.metrics.export_machine_stats()
+            for name, simulation in simulations.items()
+        },
+    )
 
 
-# -- executors --------------------------------------------------------------------
+def _worker_main(connection: "Connection", spec: ShardSpec, arrivals: Sequence[RoutedArrival]) -> None:
+    """Worker-process entry point: run one shard and send back its outcome.
 
-
-class _InProcessShard:
-    """Shard executor running in the coordinator process (``parallel=1``).
-
-    Work happens eagerly in the ``send_*`` calls; the ``wait_*`` calls just
-    return — the same two-phase protocol as :class:`_ProcessShard`, so the
-    epoch loop is executor-agnostic.
-    """
-
-    def __init__(self, spec: ShardSpec) -> None:
-        self._runtime = _ShardRuntime(spec)
-        self._last_event_time = 0.0
-        self._result: ShardResult | None = None
-
-    def send_epoch(self, barrier: float, batch: Sequence[ArrivalMessage]) -> None:
-        self._runtime.deliver(batch)
-        self._runtime.advance(barrier)
-
-    def wait_epoch(self) -> None:
-        return None
-
-    def send_drain(self) -> None:
-        self._last_event_time = self._runtime.drain()
-
-    def wait_drain(self) -> float:
-        return self._last_event_time
-
-    def send_finish(self) -> None:
-        self._result = self._runtime.finish()
-
-    def wait_finish(self) -> ShardResult:
-        assert self._result is not None
-        return self._result
-
-    def close(self) -> None:
-        return None
-
-
-def _worker_main(connection: "Connection", spec: ShardSpec) -> None:
-    """Worker-process entry point: build the shard, then serve barrier messages.
-
-    Protocol (one ack per message, errors carry the worker traceback)::
-
-        ("epoch", barrier, batch) -> ("ok", None)
-        ("drain",)                -> ("ok", last_event_time)
-        ("finish",)               -> ("ok", ShardResult)
-        ("exit",)                 -> no reply, worker exits
+    Sends exactly one message — ``("ok", ShardResult)`` or ``("error",
+    traceback_text)`` — then returns.
     """
     try:
-        runtime = _ShardRuntime(spec)
-        connection.send(("ready", spec.shard_id))
-        while True:
-            message = connection.recv()
-            kind = message[0]
-            if kind == "epoch":
-                runtime.deliver(message[2])
-                runtime.advance(message[1])
-                connection.send(("ok", None))
-            elif kind == "drain":
-                connection.send(("ok", runtime.drain()))
-            elif kind == "finish":
-                connection.send(("ok", runtime.finish()))
-            elif kind == "exit":
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise ValueError(f"unknown shard message {kind!r}")
-    except EOFError:  # pragma: no cover - coordinator died; nothing to report to
-        return
+        reply: tuple[str, Any] = ("ok", run_shard(spec, arrivals))
     except Exception:
-        try:
-            connection.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):  # pragma: no cover - coordinator died
-            pass
+        reply = ("error", traceback.format_exc())
+    try:
+        connection.send(reply)
+    except (BrokenPipeError, OSError):  # pragma: no cover - coordinator died
+        pass
     finally:
         connection.close()
 
 
-def spawn_context() -> "BaseContext":
-    """Pick the multiprocessing start method for shard workers.
-
-    ``fork`` is preferred (the coordinator has already imported everything,
-    so workers start instantly); platforms without it fall back to
-    ``spawn``.  ``REPRO_PARALLEL_START_METHOD`` overrides — a worker
-    bootstrap configuration read, not simulation state, so it cannot make
-    two equally-configured runs differ (shards are bit-identical under
-    either start method).
-    """
-    method = os.environ.get("REPRO_PARALLEL_START_METHOD")
-    if method:
-        return multiprocessing.get_context(method)
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        return multiprocessing.get_context("spawn")
-
-
-class _ProcessShard:
-    """Shard executor on a dedicated ``multiprocessing`` worker.
-
-    The coordinator sends to every shard before waiting on any
-    (``send_* ``/``wait_*`` split), so all workers simulate their epochs
-    concurrently.
-    """
-
-    def __init__(self, spec: ShardSpec, context: "BaseContext") -> None:
-        parent, child = context.Pipe()
-        self._connection = parent
-        self._process = context.Process(
-            target=_worker_main,
-            args=(child, spec),
-            name=f"repro-shard-{spec.shard_id}",
-            daemon=True,
-        )
-        self._process.start()
-        child.close()
-        kind, _payload = self._receive()
-        if kind != "ready":  # pragma: no cover - protocol misuse
-            raise ShardWorkerError(f"shard {spec.shard_id} sent {kind!r} before ready")
-
-    def _receive(self) -> tuple[str, Any]:
-        try:
-            message = self._connection.recv()
-        except EOFError as exc:  # pragma: no cover - worker crashed hard
-            raise ShardWorkerError("shard worker exited without replying") from exc
-        if message[0] == "error":
-            raise ShardWorkerError(f"shard worker failed:\n{message[1]}")
-        return (message[0], message[1])
-
-    def _ack(self) -> Any:
-        kind, payload = self._receive()
-        if kind != "ok":  # pragma: no cover - protocol misuse
-            raise ShardWorkerError(f"expected ok from shard worker, got {kind!r}")
-        return payload
-
-    def send_epoch(self, barrier: float, batch: Sequence[ArrivalMessage]) -> None:
-        self._connection.send(("epoch", barrier, batch))
-
-    def wait_epoch(self) -> None:
-        self._ack()
-
-    def send_drain(self) -> None:
-        self._connection.send(("drain",))
-
-    def wait_drain(self) -> float:
-        return float(self._ack())
-
-    def send_finish(self) -> None:
-        self._connection.send(("finish",))
-
-    def wait_finish(self) -> ShardResult:
-        result = self._ack()
-        if not isinstance(result, ShardResult):  # pragma: no cover - protocol misuse
-            raise ShardWorkerError(f"expected ShardResult, got {type(result).__name__}")
-        return result
-
-    def close(self) -> None:
-        try:
-            self._connection.send(("exit",))
-        except (BrokenPipeError, OSError):  # pragma: no cover - worker already gone
-            pass
-        self._connection.close()
-        self._process.join(timeout=10.0)
-        if self._process.is_alive():  # pragma: no cover - wedged worker
-            self._process.terminate()
-            self._process.join(timeout=5.0)
-
-
 def execute_shards(
     specs: Sequence[ShardSpec],
-    arrivals: Sequence[Sequence[tuple[float, ArrivalMessage]]],
-    epoch_s: float,
+    arrivals: Sequence[Sequence[RoutedArrival]],
     use_processes: bool,
-) -> tuple[list[ShardResult], int, float]:
-    """Drive every shard through the epoch/barrier loop and collect results.
+) -> list[ShardResult]:
+    """Run every shard to completion and collect the results in shard-id order.
 
     Args:
         specs: One spec per shard.
-        arrivals: Per-shard routed arrivals as ``(arrival_time, message)``,
-            each list in serial routing order (sorted by arrival time with
-            trace order breaking ties).
-        epoch_s: Barrier spacing (bounded shard lag).
-        use_processes: Launch one worker process per shard; ``False`` runs
-            every shard in-process through the identical barrier protocol.
+        arrivals: Per-shard routed arrivals, each list in serial routing
+            order (sorted by arrival time with trace order breaking ties).
+        use_processes: Launch one worker process per shard (``fork`` where
+            the platform has it, else ``spawn``); ``False`` runs the shards
+            one after another in this process.
 
-    Returns:
-        ``(results, epochs, last_event_time)`` — shard results in shard-id
-        order, the number of barrier epochs executed, and the fleet-wide
-        last executed event time (the serial engine's end-of-run clock).
-
-    Each epoch's barrier is the minimum next undelivered arrival time across
-    all shards plus ``epoch_s``: every shard receives its arrivals strictly
-    before the barrier and advances to exactly the barrier, so no shard ever
-    leads another by more than one epoch of simulated time while arrivals
-    remain.  After the last arrival, shards drain to completion.
+    Raises:
+        ShardWorkerError: A worker raised; the message carries its
+            traceback.  Every worker has been joined by then.
     """
-    if epoch_s <= 0.0:
-        raise ValueError(f"epoch_s must be positive, got {epoch_s}")
-    shards: list[Any] = []
+    if not use_processes:
+        return [run_shard(spec, shard_arrivals) for spec, shard_arrivals in zip(specs, arrivals)]
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    workers: list[tuple["Connection", "BaseProcess"]] = []
     try:
-        if use_processes:
-            context = spawn_context()
-            shards = [_ProcessShard(spec, context) for spec in specs]
-        else:
-            shards = [_InProcessShard(spec) for spec in specs]
-        cursors = [0] * len(specs)
-        epochs = 0
-        while True:
-            pending = [
-                index for index in range(len(specs)) if cursors[index] < len(arrivals[index])
-            ]
-            if not pending:
-                break
-            next_time = min(arrivals[index][cursors[index]][0] for index in pending)
-            barrier = next_time + epoch_s
-            for index, shard in enumerate(shards):
-                rows = arrivals[index]
-                cursor = cursors[index]
-                batch: list[ArrivalMessage] = []
-                while cursor < len(rows) and rows[cursor][0] < barrier:
-                    batch.append(rows[cursor][1])
-                    cursor += 1
-                cursors[index] = cursor
-                shard.send_epoch(barrier, batch)
-            for shard in shards:
-                shard.wait_epoch()
-            epochs += 1
-        for shard in shards:
-            shard.send_drain()
-        last_event_time = 0.0
-        for shard in shards:
-            shard_last = shard.wait_drain()
-            if shard_last > last_event_time:
-                last_event_time = shard_last
-        for shard in shards:
-            shard.send_finish()
-        results = [shard.wait_finish() for shard in shards]
-        return results, epochs, last_event_time
+        for spec, shard_arrivals in zip(specs, arrivals):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_worker_main,
+                args=(sender, spec, shard_arrivals),
+                name=f"repro-shard-{spec.shard_id}",
+                daemon=True,
+            )
+            process.start()
+            sender.close()
+            workers.append((receiver, process))
+        results: list[ShardResult] = []
+        for receiver, _ in workers:
+            try:
+                kind, payload = receiver.recv()
+            except EOFError as exc:  # pragma: no cover - worker crashed hard
+                raise ShardWorkerError("shard worker exited without replying") from exc
+            if kind != "ok":
+                raise ShardWorkerError(f"shard worker failed:\n{payload}")
+            results.append(payload)
+        return results
+    except BaseException:
+        for _, process in workers:
+            process.terminate()
+        raise
     finally:
-        for shard in shards:
-            shard.close()
+        for receiver, process in workers:
+            receiver.close()
+            process.join()

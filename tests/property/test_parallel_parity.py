@@ -1,22 +1,24 @@
 """Sharded fleet execution is bit-identical to the serial engine.
 
 The shard scheduler (:mod:`repro.simulation.sharding`) partitions a
-decomposable fleet into per-cluster-group engine shards that advance
-independently between bounded-lag barriers; everything observable about the
-run must nevertheless match the serial engine byte for byte.  These tests
-pin that contract:
+decomposable fleet into per-cluster-group engine shards, hands each shard
+its whole routed arrival list, and runs every shard to completion on its
+own engine; everything observable about the run must nevertheless match the
+serial engine byte for byte.  These tests pin that contract:
 
-* **Worker-count invariance** — serial, ``parallel=1`` (in-process shard
-  execution, exercising the barrier logic without OS workers), and
-  ``parallel=2/4`` (real ``multiprocessing`` workers) produce identical
-  fingerprints: per-request timelines, tenant SLO reports, per-cluster
-  routing counts, and the run duration.
-* **Epoch-length invariance** — the barrier spacing is a pure performance
-  knob: any ``epoch_s`` (including one epoch for the whole trace) yields
-  the same bytes.
-* **Shard-boundary edge cases** — failure injections landing on different
-  shards in the same epoch, and an outage pair straddling an epoch
-  barrier, neither reorder nor lose anything; the census closes exactly.
+* **Worker-count invariance** — serial, ``parallel=1`` (the shards run one
+  after another in-process, no OS workers), and ``parallel=2/4`` (real
+  ``multiprocessing`` workers) produce identical fingerprints: per-request
+  timelines, tenant SLO reports, per-cluster routing counts, and the run
+  duration.
+* **Cross-shard failure injections** — failures on clusters of different
+  shards at the same instants, an outage pair 0.2 s apart on two shards,
+  and an injection on the last of four shards neither reorder nor lose
+  anything; the census closes exactly.
+* **Worker failure** — a shard that raises surfaces as
+  :class:`~repro.simulation.sharding.ShardWorkerError` carrying the
+  worker's traceback, with every worker joined; in-process, the original
+  exception propagates.
 * **Coupled-configuration fallback** — fleets whose layers genuinely read
   fleet-wide state (chaos + retries/hedges, the cloud-burst provisioner,
   the observability plane) refuse to shard: ``parallel=N`` falls back to
@@ -27,6 +29,7 @@ pin that contract:
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,8 @@ from hypothesis import strategies as st
 from repro.core.designs import splitwise_hh
 from repro.experiments.fleet_sweep import fleet_run_summary, prepare_fleet_run
 from repro.fleet import FleetSimulation
+from repro.models.llm import LLAMA2_70B
+from repro.simulation.sharding import ShardSpec, ShardWorkerError, execute_shards
 from repro.workload.scenarios import get_scenario
 
 CLUSTERS = 4
@@ -44,14 +49,13 @@ def _mixed_trace(seed, scale=0.5):
     return get_scenario("mixed-tenant").build_trace(seed=seed, scale=scale)
 
 
-def _fleet(parallel=None, epoch_s=None, clusters=CLUSTERS):
+def _fleet(parallel=None, clusters=CLUSTERS):
     """A decomposable fleet: static weighted-rr, no coupled layers."""
     return FleetSimulation(
         splitwise_hh(2, 1),
         num_clusters=clusters,
         router="weighted-rr",
         parallel=parallel,
-        epoch_s=epoch_s,
     )
 
 
@@ -112,22 +116,10 @@ class TestWorkerCountInvariance:
             info = fleet.parallel_info
             assert info is not None and info["mode"] == "parallel"
             assert info["shards"] == min(workers, CLUSTERS)
-            # N=1 runs the shard/barrier machinery in-process — no workers.
+            # N=1 runs the shards in-process — no workers.
             assert info["workers"] == (0 if workers == 1 else min(workers, CLUSTERS))
-            assert info["epochs"] > 0
+            assert info["epochs"] == 1
             _assert_census_closed(result, trace)
-
-    @given(epoch_s=st.sampled_from([0.5, 3.0, 17.0, 1e9]))
-    @settings(max_examples=4, deadline=None)
-    def test_epoch_length_is_a_pure_perf_knob(self, epoch_s):
-        trace = _mixed_trace(7)
-        reference = _fingerprint(_fleet().run(trace))
-        fleet = _fleet(parallel=2, epoch_s=epoch_s)
-        result = fleet.run(trace)
-        assert _fingerprint(result) == reference
-        # A whole-trace epoch degenerates to one barrier; it must still match.
-        if epoch_s == 1e9:
-            assert fleet.parallel_info["epochs"] <= 2
 
     def test_parallel_info_is_deterministic_provenance(self):
         """The recorded provenance carries no wall times and no host state."""
@@ -145,7 +137,7 @@ class TestShardBoundaryEdgeCases:
     # two engines.
 
     @pytest.mark.parametrize("seed", [1, 13])
-    def test_failures_on_different_shards_same_epoch(self, seed):
+    def test_failures_on_different_shards_same_instants(self, seed):
         # Fixed seeds chosen so the injections actually catch requests in
         # flight (restarts > 0) — the parity claim must not be vacuous.
         trace = _mixed_trace(seed, scale=1.0)
@@ -155,31 +147,61 @@ class TestShardBoundaryEdgeCases:
             for c in (0, 1)
         )
         serial = _fleet().run(trace, failures=failures)
-        result = _fleet(parallel=2, epoch_s=50.0).run(trace, failures=failures)
+        result = _fleet(parallel=2).run(trace, failures=failures)
         assert _fingerprint(result) == _fingerprint(serial)
         _assert_census_closed(result, trace)
         assert any(r.restarts > 0 for r in result.requests)
 
-    def test_outage_pair_spanning_epoch_boundary(self):
-        """Failures at 4.9s and 5.1s straddle the 5s barrier on two shards."""
+    def test_outage_pair_across_two_shards(self):
+        """Failures at 4.9s and 5.1s land on clusters of different shards."""
         trace = _mixed_trace(11)
         failures = (
             (4.9, "cluster-0/prompt-0"),
             (5.1, "cluster-1/prompt-0"),
         )
         serial = _fleet().run(trace, failures=failures)
-        result = _fleet(parallel=2, epoch_s=5.0).run(trace, failures=failures)
+        result = _fleet(parallel=2).run(trace, failures=failures)
         assert _fingerprint(result) == _fingerprint(serial)
         _assert_census_closed(result, trace)
 
-    def test_failure_exactly_at_barrier_time(self):
-        """An injection at exactly an epoch barrier fires once, on its shard."""
+    def test_failure_on_last_of_four_shards(self):
+        """An injection on a one-cluster shard fires once, on its shard."""
         trace = _mixed_trace(13)
         failures = ((10.0, "cluster-3/token-0"),)
         serial = _fleet().run(trace, failures=failures)
-        result = _fleet(parallel=4, epoch_s=5.0).run(trace, failures=failures)
+        result = _fleet(parallel=4).run(trace, failures=failures)
         assert _fingerprint(result) == _fingerprint(serial)
         _assert_census_closed(result, trace)
+
+
+def _spec(shard_id, **cluster_kwargs):
+    return ShardSpec(
+        shard_id=shard_id,
+        cluster_names=(f"cluster-{shard_id}",),
+        design=splitwise_hh(2, 1),
+        model=LLAMA2_70B,
+        cluster_kwargs=tuple(cluster_kwargs.items()),
+        failures=(),
+        sanitize=False,
+    )
+
+
+class TestShardWorkerFailure:
+    # Shard 0 passes an option ClusterSimulation does not take, so building
+    # its clusters raises TypeError; shard 1 is healthy.
+
+    def test_worker_error_carries_traceback_and_joins_every_worker(self):
+        specs = [_spec(0, no_such_option=1), _spec(1)]
+        with pytest.raises(ShardWorkerError) as raised:
+            execute_shards(specs, [[], []], use_processes=True)
+        message = str(raised.value)
+        assert "TypeError" in message and "no_such_option" in message
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_error_propagates_unwrapped(self):
+        specs = [_spec(0, no_such_option=1), _spec(1)]
+        with pytest.raises(TypeError, match="no_such_option"):
+            execute_shards(specs, [[], []], use_processes=False)
 
 
 class TestCoupledConfigurationFallback:

@@ -164,6 +164,24 @@ class TestFleetCommand:
         assert "burst" not in payload
         assert "machine_hours_saved" not in payload
 
+    def test_parallel_json_matches_serial(self, capsys):
+        """A decomposable fleet shards for real; only the provenance block differs."""
+        args = ["fleet", "--preset", "mixed-tenant", "--clusters", "4", "--burst-clusters", "0",
+                "--no-burst", "--policy", "weighted-rr", "--scale", "0.5", "--json"]
+        payloads = []
+        for extra in ([], ["--parallel", "2"]):
+            code = main(args + extra)
+            assert code in (0, 2)
+            payloads.append(json.loads(capsys.readouterr().out))
+        serial, parallel = payloads
+        info = parallel["parallel"]
+        for payload in payloads:
+            payload.pop("parallel")
+            payload.pop("burst_parallel", None)
+        assert parallel == serial
+        assert info["mode"] == "parallel"
+        assert info["shards"] == 2
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "--policy", "fastest-first"])
