@@ -19,7 +19,7 @@ Path scoping conventions (see :class:`ModuleContext` helpers):
   (``simulation/``, ``core/``, ``fleet/``, ``faults/``) where iteration
   order feeds event scheduling or routing/placement decisions;
 * ``SIM002``/``SIM007`` carry explicit allowlists for the modules whose job
-  *is* wall-clock timing (``metrics/perf.py``) or process configuration
+  *is* wall-clock timing (``obs/profiler.py``) or process configuration
   (``cli.py``).
 """
 
@@ -34,11 +34,11 @@ from repro.analysis.findings import Finding
 #: placement decisions (SIM003's scope).
 ORDER_SENSITIVE_DIRS = ("simulation/", "core/", "fleet/", "faults/")
 
-#: Modules allowed to read the wall clock (SIM002): performance measurement
-#: and CLI timing display are *about* wall time; benchmarks measure it, and
-#: the observability phase profiler attributes it (never armed by the
-#: simulation itself — only the perf bench attaches it).
-WALL_CLOCK_ALLOWLIST = ("metrics/perf.py", "cli.py", "obs/profiler.py")
+#: Modules allowed to read the wall clock (SIM002): the CLI entry point and
+#: the observability phase profiler, which attributes wall time (never armed
+#: by the simulation itself — only the benchmark's traced run attaches it);
+#: benchmarks measure it.
+WALL_CLOCK_ALLOWLIST = ("cli.py", "obs/profiler.py")
 WALL_CLOCK_ALLOWED_DIRS = ("benchmarks/",)
 
 #: Modules allowed to read process environment (SIM007): the CLI and
@@ -249,7 +249,7 @@ class WallClockRead(Rule):
             self.report(
                 node,
                 f"wall-clock read ({name}) in simulated code",
-                "use engine.now for simulated time; real timing belongs in metrics/perf.py",
+                "use engine.now for simulated time; wall-clock measurement belongs in perfbench/",
             )
         self.generic_visit(node)
 

@@ -24,8 +24,8 @@ each iteration costs O(batch) instead of O(pool):
   batch's context total — the input to the latency model — is accumulated
   from O(selected levels) cached sums plus the split remainder.
 
-**Run service caches** (``track_runs``, used with the columnar token log —
-see :mod:`repro.metrics.token_log`): each run additionally carries
+**Run service caches** (used with the columnar token log — see
+:mod:`repro.metrics.token_log`): each run additionally carries
 
 * ``min_remaining`` — a conservative lower bound on any live member's
   outstanding output tokens.  The stepper decrements it once per service and
@@ -73,8 +73,7 @@ class RotationRun:
 
     ``members[start:]`` are the live entries; extraction consumes from the
     head by advancing ``start`` instead of slicing.  ``min_remaining`` and
-    ``context`` are the run service caches (meaningful only under
-    ``track_runs``; see the module docstring).
+    ``context`` are the run service caches (see the module docstring).
     """
 
     __slots__ = ("members", "start", "min_remaining", "context")
@@ -139,7 +138,7 @@ class Selection:
         self.whole_levels: list[RotationLevel] = []
         self.split_level: RotationLevel | None = None
         #: Completion bound carried by the split extraction (min over the
-        #: bounds of the runs it consumed from; ``track_runs`` only).
+        #: bounds of the runs it consumed from).
         self.split_bound = NO_COMPLETION_BOUND
         self.extracted: list = []
         self.extracted_context = 0
@@ -155,23 +154,20 @@ class Selection:
 class RotationForest:
     """Priority-ordered token pool with O(batch) selection and O(1) aging."""
 
-    __slots__ = ("levels", "offset", "track_runs")
+    __slots__ = ("levels", "offset")
 
     #: A level with more sibling runs than this is consolidated into one run
     #: on its next split, bounding k-way heap width (amortized rare).
     MAX_SIBLING_RUNS = 32
 
-    def __init__(self, track_runs: bool = False) -> None:
+    def __init__(self) -> None:
         self.levels: list[RotationLevel] = []  # stored DESC == effective DESC
         self.offset = 0
-        #: Maintain per-run completion bounds and context caches (columnar
-        #: recording); untracked forests leave them at their sentinels.
-        self.track_runs = track_runs
 
     # -- construction ---------------------------------------------------------------
 
     @classmethod
-    def from_ordered_view(cls, view: Iterable, track_runs: bool = False) -> "RotationForest | None":
+    def from_ordered_view(cls, view: Iterable) -> "RotationForest | None":
         """Build a forest from a ``(-boost, arrival, id)``-ordered pool view.
 
         Returns ``None`` if any boost is not integer-valued (aging only ever
@@ -180,7 +176,7 @@ class RotationForest:
         entry (the machine exits any previous rotation through a settling
         flatten), so plain attribute reads are exact here.
         """
-        forest = cls(track_runs)
+        forest = cls()
         levels = forest.levels
         current_boost: float | None = None
         members: list = []
@@ -258,13 +254,12 @@ class RotationForest:
         per member — sibling runs hold mostly disjoint arrival bands, so
         switches are rare.
 
-        With run tracking, only the smaller side of each cut is walked for
-        context (the larger side's total is derived from the run's cache), a
-        whole-run consumption costs O(1), and the returned bound is the
-        minimum completion bound over the runs the extraction touched.
+        Only the smaller side of each cut is walked for context (the larger
+        side's total is derived from the run's cache), a whole-run
+        consumption costs O(1), and the returned bound is the minimum
+        completion bound over the runs the extraction touched.
         """
         runs = level.runs
-        track = self.track_runs
         if len(runs) == 1:
             run = runs[0]
             start = run.start
@@ -272,11 +267,7 @@ class RotationForest:
             members = run.members
             extracted = members[start:stop]
             bound = run.min_remaining
-            if not track:
-                context = 0
-                for request in extracted:
-                    context += request.prompt_tokens + request.generated_tokens
-            elif stop == len(members):
+            if stop == len(members):
                 # Whole live run consumed: O(1).
                 context = run.context
                 run.context = 0
@@ -346,37 +337,36 @@ class RotationForest:
                     min(len(members), room),
                     key=_member_key,
                 )
-            if track:
-                if run.min_remaining < bound:
-                    bound = run.min_remaining
-                if stop == len(members):
-                    # Whole rest of the run: O(1) from the cache.
-                    slice_context = run.context
-                    run.context = 0
-                elif stop - start <= len(members) - stop:
-                    # The consumed slice is the smaller side: sum it directly.
-                    slice_context = 0
-                    for request in members[start:stop]:
-                        if request._svc_block is None:
-                            slice_context += request.prompt_tokens + request.generated_tokens
-                        else:
-                            slice_context += (
-                                request.prompt_tokens + request._svc_base + len(request._svc_indices)
-                            )
-                    run.context -= slice_context
-                else:
-                    # The run's remainder is smaller: walk it and subtract.
-                    remainder_context = 0
-                    for request in members[stop:]:
-                        if request._svc_block is None:
-                            remainder_context += request.prompt_tokens + request.generated_tokens
-                        else:
-                            remainder_context += (
-                                request.prompt_tokens + request._svc_base + len(request._svc_indices)
-                            )
-                    slice_context = run.context - remainder_context
-                    run.context = remainder_context
-                context += slice_context
+            if run.min_remaining < bound:
+                bound = run.min_remaining
+            if stop == len(members):
+                # Whole rest of the run: O(1) from the cache.
+                slice_context = run.context
+                run.context = 0
+            elif stop - start <= len(members) - stop:
+                # The consumed slice is the smaller side: sum it directly.
+                slice_context = 0
+                for request in members[start:stop]:
+                    if request._svc_block is None:
+                        slice_context += request.prompt_tokens + request.generated_tokens
+                    else:
+                        slice_context += (
+                            request.prompt_tokens + request._svc_base + len(request._svc_indices)
+                        )
+                run.context -= slice_context
+            else:
+                # The run's remainder is smaller: walk it and subtract.
+                remainder_context = 0
+                for request in members[stop:]:
+                    if request._svc_block is None:
+                        remainder_context += request.prompt_tokens + request.generated_tokens
+                    else:
+                        remainder_context += (
+                            request.prompt_tokens + request._svc_base + len(request._svc_indices)
+                        )
+                slice_context = run.context - remainder_context
+                run.context = remainder_context
+            context += slice_context
             extend(members[start:stop])
             taken += stop - start
             run.start = stop
@@ -387,9 +377,6 @@ class RotationForest:
             else:
                 head = members[stop]
                 heapq.heapreplace(heap, (head.arrival_time, head.request_id, index))
-        if not track:
-            for request in extracted:
-                context += request.prompt_tokens + request.generated_tokens
         level.size -= count
         level.context -= context
         level.runs = [run for run in level.runs if len(run)]
@@ -416,15 +403,10 @@ class RotationForest:
             return
         merged = list(heapq.merge(*(run.live() for run in level.runs), key=_member_key))
         run = RotationRun(merged)
-        if self.track_runs:
-            context = 0
-            min_remaining = NO_COMPLETION_BOUND
-            for source in level.runs:
-                context += source.context
-                if source.min_remaining < min_remaining:
-                    min_remaining = source.min_remaining
-            run.context = context
-            run.min_remaining = min_remaining
+        for source in level.runs:
+            run.context += source.context
+            if source.min_remaining < run.min_remaining:
+                run.min_remaining = source.min_remaining
         level.runs = [run]
 
     # -- aging ----------------------------------------------------------------------
@@ -441,9 +423,8 @@ class RotationForest:
         Implemented relatively: the forest offset rises by one while the
         wholly-selected levels and the split extraction (its ``survivors``,
         i.e. extracted members that did not complete this iteration, whose
-        post-service context total — and, under run tracking, completion
-        bound — the caller tracks) step down one stored level, keeping their
-        effective boost unchanged.
+        post-service context total and completion bound the caller tracks)
+        step down one stored level, keeping their effective boost unchanged.
         """
         self.offset += 1
         dirty = False
@@ -520,7 +501,6 @@ class RotationForest:
         stored = effective - self.offset
         context = request.prompt_tokens + request.generated_tokens
         remaining = request.output_tokens - request.generated_tokens
-        track = self.track_runs
         levels = self.levels
         for index, level in enumerate(levels):
             if level.stored == stored:
@@ -532,10 +512,9 @@ class RotationForest:
                 else:
                     target = RotationRun([request])
                     level.runs.append(target)
-                if track:
-                    target.context += context
-                    if remaining < target.min_remaining:
-                        target.min_remaining = remaining
+                target.context += context
+                if remaining < target.min_remaining:
+                    target.min_remaining = remaining
                 level.size += 1
                 level.context += context
                 return
@@ -543,32 +522,6 @@ class RotationForest:
                 levels.insert(index, self._new_level(stored, [request], context, remaining))
                 return
         levels.append(self._new_level(stored, [request], context, remaining))
-
-    def note_serviced(self, selection: Selection, completed_per_segment: list) -> None:
-        """Update level size/context caches after one service pass.
-
-        Every surviving serviced member's context grew by one token; completed
-        members (passed per selected segment, pre-service contexts included)
-        leave their level entirely.  The split extraction is not levelled yet
-        — its survivors are accounted by :meth:`commit_aging`.  Run-level
-        caches are maintained by the stepper itself (it walks the segments
-        anyway).
-        """
-        for (level, run, members), completed in zip(selection.segments, completed_per_segment):
-            if level is None:
-                continue
-            survivors = len(members)
-            if completed:
-                removed_context = 0
-                for request, pre_context in completed:
-                    removed_context += pre_context
-                level.size -= len(completed)
-                level.context -= removed_context
-                done = {id(request) for request, _ in completed}
-                run.members = [r for r in run.live() if id(r) not in done]
-                run.start = 0
-                survivors -= len(completed)
-            level.context += survivors
 
     # -- materialization ------------------------------------------------------------
 

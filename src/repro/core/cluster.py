@@ -169,8 +169,7 @@ class ClusterSimulation:
         routing: CLS routing policy (``"jsq"``, ``"round-robin"``, ``"random"``).
         fast_forward: Coalesce steady-state decode runs into macro-events on
             every machine (bit-identical results; see
-            :mod:`repro.core.machine`).  ``None`` keeps the machines' default
-            (enabled unless ``REPRO_NO_FAST_FORWARD=1``).
+            :mod:`repro.core.machine`).
         autoscaler: Optional dynamic pool autoscaler: a
             :class:`~repro.core.autoscaler.PoolAutoscaler`, an
             :class:`~repro.core.autoscaler.AutoscalerConfig` (wrapped in a
@@ -195,7 +194,7 @@ class ClusterSimulation:
         decode_queue_threshold: int | None = None,
         batching: str = "mixed",
         routing: str = "jsq",
-        fast_forward: bool | None = None,
+        fast_forward: bool = True,
         autoscaler: PoolAutoscaler | AutoscalerConfig | bool | None = None,
         engine: SimulationEngine | None = None,
         name: str = "",

@@ -43,7 +43,7 @@ results bit-identical to per-iteration stepping:
   failures, or a binding KV budget flatten the forest back into the exact
   policy path.
 
-Disable both with ``fast_forward=False`` or ``REPRO_NO_FAST_FORWARD=1``.
+Disable both with ``fast_forward=False``.
 """
 
 from __future__ import annotations
@@ -124,7 +124,6 @@ class SimulatedMachine:
             Defaults to the ``REPRO_DEBUG_ACCOUNTING=1`` environment flag.
         fast_forward: Coalesce steady-state decode runs into macro-events
             (bit-identical results, large speedup on decode-heavy phases).
-            Defaults to enabled unless ``REPRO_NO_FAST_FORWARD=1`` is set.
             Callers that attach an ``on_iteration_complete`` hook observing
             *wall-clock-accurate* per-iteration timing should disable it:
             coalesced iterations fire the hook once per iteration but in a
@@ -145,7 +144,7 @@ class SimulatedMachine:
         max_prompt_batch_tokens: int = DEFAULT_MAX_PROMPT_TOKENS,
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         debug_accounting: bool | None = None,
-        fast_forward: bool | None = None,
+        fast_forward: bool = True,
     ) -> None:
         self.name = name
         self.spec = spec
@@ -172,14 +171,12 @@ class SimulatedMachine:
             max_batch_size=max_batch_size,
             max_kv_tokens=self.memory.max_kv_tokens,
         )
-        # Both env flags are debug/parity toggles whose on and off settings
-        # are property-tested bit-identical, so the hidden input cannot
-        # change results — the constructor argument still wins when passed.
+        # The env flag is a debug toggle whose on and off settings are
+        # property-tested bit-identical, so the hidden input cannot change
+        # results — the constructor argument still wins when passed.
         if debug_accounting is None:
             debug_accounting = os.environ.get("REPRO_DEBUG_ACCOUNTING") == "1"  # simlint: disable=SIM007
         self.debug_accounting = debug_accounting
-        if fast_forward is None:
-            fast_forward = os.environ.get("REPRO_NO_FAST_FORWARD") != "1"  # simlint: disable=SIM007
         self.fast_forward_enabled = fast_forward
 
         self.pending_prompts: deque[Request] = deque()
@@ -906,7 +903,7 @@ class SimulatedMachine:
         the pool carries non-integer boosts (external writer) or the very
         first iteration can't be composed (a KV-budget skip would be needed).
         """
-        forest = RotationForest.from_ordered_view(self._token_ready, track_runs=True)
+        forest = RotationForest.from_ordered_view(self._token_ready)
         if forest is None:
             return False
         self._rot_forest = forest
@@ -1126,9 +1123,9 @@ class SimulatedMachine:
                 run.min_remaining = bound
             else:
                 split_bound = bound
-            # Level-cache maintenance folded from note_serviced: every
-            # serviced survivor's context grew by one; completers leave
-            # their level entirely (split members are not levelled).
+            # Level-cache maintenance: every serviced survivor's context
+            # grew by one; completers leave their level entirely (split
+            # members are not levelled until the aging commit).
             if level is not None:
                 survivors_here = count
                 if completed is not None:

@@ -80,7 +80,13 @@ def scaled_design_suite(
         raise KeyError(f"no iso-power configuration recorded for workload {workload!r}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    configs = PAPER_ISO_POWER_CONFIGS[workload]
+    return _suite_from_configs(PAPER_ISO_POWER_CONFIGS[workload], scale, families)
+
+
+def _suite_from_configs(
+    configs: Mapping[str, tuple[int, int]], scale: float, families: Sequence[str] | None = None
+) -> dict[str, ClusterDesign]:
+    """Size each family's ``(prompt, token)`` paper config by ``scale`` (rounded, minimum 1)."""
     chosen = families or list(configs)
     suite: dict[str, ClusterDesign] = {}
     for family in chosen:
@@ -88,10 +94,7 @@ def scaled_design_suite(
         scaled_prompt = max(1, round(prompt * scale))
         scaled_token = max(1, round(token * scale)) if token else 0
         factory = _FACTORIES[family]
-        if token == 0:
-            suite[family] = factory(scaled_prompt)
-        else:
-            suite[family] = factory(scaled_prompt, scaled_token)
+        suite[family] = factory(scaled_prompt) if token == 0 else factory(scaled_prompt, scaled_token)
     return suite
 
 

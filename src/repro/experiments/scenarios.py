@@ -36,7 +36,7 @@ def prepare_scenario_run(
     onto a concrete cluster run — peak-sized Splitwise-HH design from
     ``machine_counts``, failures scaled with the trace, and (when
     ``autoscaled``) an :class:`AutoscalerConfig` built from the preset's
-    overrides.  The CLI, the scenario sweep, and the perf benchmark all go
+    overrides.  The CLI, the scenario sweep, and the sim-time pins all go
     through here so preset semantics cannot diverge between surfaces.
     """
     trace = preset.build_trace(seed=seed, scale=scale)

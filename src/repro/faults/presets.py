@@ -3,9 +3,8 @@
 A chaos preset is the reliability analogue of a scenario preset: one name
 selects a coherent bundle of failure processes, router reliability knobs,
 admission control, and request-lifecycle policies (retry / hedge / deadline /
-degraded service), so the CLI (``repro-sim fleet --chaos <name>``), the CI
-chaos- and reliability-smoke jobs, and the tests all exercise the identical
-configuration.
+degraded service), so the CLI (``repro-sim fleet --chaos <name>``) and the
+tests all exercise the identical configuration.
 """
 
 from __future__ import annotations

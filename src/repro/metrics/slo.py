@@ -152,7 +152,7 @@ class TenantSloReport:
         return {tenant: dict(report.samples) for tenant, report in self.tenants.items()}
 
     def as_dict(self) -> dict:
-        """JSON-friendly summary (used by the fleet CLI and CI smoke jobs)."""
+        """JSON-friendly summary (used by the fleet CLI's ``--json`` payload)."""
         return {
             "satisfied": self.satisfied,
             "unsatisfied_tenants": self.unsatisfied_tenants(),

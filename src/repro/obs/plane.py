@@ -17,7 +17,7 @@ The plane owns three artifacts:
 
 Everything here runs on simulated time; the wall-clock profiler
 (:mod:`repro.obs.profiler`) is deliberately *not* part of the plane — it is
-a perf-bench instrument, attached only by ``repro.metrics.perf``.
+a benchmark instrument, attached only by ``perfbench/``'s traced run.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ from its event tag.
 
 This is the one wall-clock consumer in ``repro.obs`` — it lives on the
 perf-measurement side of the SIM002 line (allow-listed in
-``repro.analysis.rules`` next to ``metrics/perf.py``) and is never armed by
-the simulation itself: only the perf bench (`python -m repro.metrics.perf
---phase-profile`) attaches it.  Attribution is *self* time per event
-callback; an event that schedules more events is not charged for them.
+``repro.analysis.rules``) and is never armed by the simulation itself: only
+the benchmark's traced run (``python3 perfbench/run.py --trace 1``)
+attaches it.  Attribution is *self* time per event callback; an event that
+schedules more events is not charged for them.
 """
 
 from __future__ import annotations

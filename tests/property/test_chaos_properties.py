@@ -41,7 +41,7 @@ def _storm_trace(seed, scale=0.4):
 
 
 def _storm_fleet(
-    fault_seed=None, fast_forward=None, burst=True, lifecycle=False, retry_seed=None
+    fault_seed=None, fast_forward=True, burst=True, lifecycle=False, retry_seed=None
 ):
     """A fleet with the full failure-storm bundle armed.
 
@@ -172,7 +172,7 @@ ISOLATED_PROCESSES = {
 }
 
 
-def _isolated_fleet(faults, fast_forward=None):
+def _isolated_fleet(faults, fast_forward=True):
     # Revocation needs a burst cluster to target, so every isolated run
     # gets one — the other processes simply ignore it.
     return FleetSimulation(
@@ -294,7 +294,7 @@ class TestLifecycleProperties:
         if snapshot["hedges_won"] == 0 and snapshot["hedges_launched"] == 0:
             assert snapshot["hedge_wasted_tokens"] == 0
         # Whatever the storm wasted is visible in provenance: the snapshot
-        # keys the CI smoke job greps for must exist.
+        # keys the CLI smoke tests read must exist.
         for key in (
             "retries_scheduled",
             "retries_fired",

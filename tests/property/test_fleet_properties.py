@@ -29,7 +29,7 @@ def _mixed_tenant_trace(seed, scale=1.0):
     return get_scenario("mixed-tenant").build_trace(seed=seed, scale=scale)
 
 
-def _run_fleet(trace, policy="slo-feedback", fast_forward=None, burst=True, autoscaler=None):
+def _run_fleet(trace, policy="slo-feedback", fast_forward=True, burst=True, autoscaler=None):
     kwargs = {}
     if burst:
         kwargs["burst_clusters"] = 1

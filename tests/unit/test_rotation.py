@@ -27,6 +27,21 @@ def _request(request_id: int, arrival: float, boost: float = 0.0, prompt: int = 
     return request
 
 
+def _service(selection) -> None:
+    """One decode service with no completions, plus the stepper's cache upkeep.
+
+    Every selected member generates one token, so each levelled run and its
+    level grow their cached context by one per member.  The split
+    extraction is not levelled yet: ``commit_aging`` accounts its survivors.
+    """
+    for level, run, members in selection.segments:
+        for request in members:
+            request.generated_tokens += 1
+        if level is not None:
+            run.context += len(members)
+            level.context += len(members)
+
+
 def _ordered_pool(count: int, rng: random.Random) -> list[Request]:
     pool = [
         _request(i, arrival=rng.random() * 10.0, boost=float(rng.randrange(4)), output=rng.randrange(5, 60))
@@ -82,11 +97,9 @@ class TestRotationForest:
             for request_id in mirror:
                 if request_id not in selected_ids:
                     mirror[request_id] += 1.0
-            forest.note_serviced(selection, [None] * len(selection.segments))
+            _service(selection)
             survivors = selection.extracted
             survivors_context = selection.extracted_context + len(survivors)
-            for request in selected:
-                request.generated_tokens += 1
             forest.commit_aging(selection, survivors, survivors_context)
         flat = forest.flatten()
         assert [r.request_id for r in flat] == [
@@ -123,9 +136,7 @@ class TestRotationForest:
             assert selection.context == sum(
                 r.prompt_tokens + r.generated_tokens for r in expected[:7]
             )
-            for request in selection.requests():
-                request.generated_tokens += 1  # emulate the decode service
-            forest.note_serviced(selection, [None] * len(selection.segments))
+            _service(selection)
             survivors = selection.extracted
             forest.commit_aging(
                 selection, survivors, selection.extracted_context + len(survivors)

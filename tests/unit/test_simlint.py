@@ -104,7 +104,7 @@ class TestSIM002:
     def test_perf_module_allowlisted(self):
         assert_clean(
             "import time\nt = time.perf_counter()\n", "SIM002",
-            path="src/repro/metrics/perf.py",
+            path="src/repro/obs/profiler.py",
         )
 
     def test_cli_allowlisted(self):
