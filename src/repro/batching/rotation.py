@@ -24,23 +24,16 @@ each iteration costs O(batch) instead of O(pool):
   batch's context total — the input to the latency model — is accumulated
   from O(selected levels) cached sums plus the split remainder.
 
-**Run service caches** (used with the columnar token log — see
-:mod:`repro.metrics.token_log`): each run additionally carries
+**Run context cache**: each run additionally carries ``context``, its
+members' total KV context, maintained incrementally (bulk-added per service,
+shed by completions and chops).  Extraction then walks only the **smaller
+side** of a chop: the slice's context is summed directly when the slice is
+smaller, or derived by subtracting the walked remainder from the cached
+total when it is not — and a chop consuming a whole run costs O(1).
 
-* ``min_remaining`` — a conservative lower bound on any live member's
-  outstanding output tokens.  The stepper decrements it once per service and
-  walks the members for exact completions only at the boundaries where the
-  earliest member can actually finish, so the per-member completion check
-  disappears from the steady-state loop.  The bound never overestimates:
-  services decrement it in lockstep with every member's true remaining,
-  admissions lower it, and chops inherit it (removing members can only make
-  it conservative).
-* ``context`` — the run's total *effective* KV context, maintained
-  incrementally (bulk-added per service, shed by completions and chops).
-  Extraction then walks only the **smaller side** of a chop: the slice's
-  context is summed directly when the slice is smaller, or derived by
-  subtracting the walked remainder from the cached total when it is not —
-  and a chop consuming a whole run costs O(1).
+The forest only orders the pool; ``SimulatedMachine._on_rotation_step``
+services each selected member exactly as the per-iteration finish loop does
+(token time, generated count, phase, completion).
 
 The forest reproduces the flat view's order *exactly*: effective boosts are
 ``stored + offset`` (integer-valued, as produced by +1.0 aging steps), and
@@ -58,11 +51,6 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.simulation.request import Request
 
-#: ``min_remaining`` sentinel for runs whose bound is not constraining
-#: (never triggers a completion walk).
-NO_COMPLETION_BOUND = 1 << 60
-
-
 def _member_key(request: "Request") -> tuple[float, int]:
     """Within-level order: FCFS by arrival, request id as the total tie-break."""
     return (request.arrival_time, request.request_id)
@@ -72,16 +60,15 @@ class RotationRun:
     """A ``(arrival, id)``-sorted segment of live members within one level.
 
     ``members[start:]`` are the live entries; extraction consumes from the
-    head by advancing ``start`` instead of slicing.  ``min_remaining`` and
-    ``context`` are the run service caches (see the module docstring).
+    head by advancing ``start`` instead of slicing.  ``context`` is the run
+    context cache (see the module docstring).
     """
 
-    __slots__ = ("members", "start", "min_remaining", "context")
+    __slots__ = ("members", "start", "context")
 
     def __init__(self, members: list, start: int = 0) -> None:
         self.members = members
         self.start = start
-        self.min_remaining = NO_COMPLETION_BOUND
         self.context = 0
 
     def __len__(self) -> int:
@@ -123,7 +110,6 @@ class Selection:
         "context",
         "whole_levels",
         "split_level",
-        "split_bound",
         "extracted",
         "extracted_context",
     )
@@ -137,9 +123,6 @@ class Selection:
         self.context = 0
         self.whole_levels: list[RotationLevel] = []
         self.split_level: RotationLevel | None = None
-        #: Completion bound carried by the split extraction (min over the
-        #: bounds of the runs it consumed from).
-        self.split_bound = NO_COMPLETION_BOUND
         self.extracted: list = []
         self.extracted_context = 0
 
@@ -172,40 +155,32 @@ class RotationForest:
 
         Returns ``None`` if any boost is not integer-valued (aging only ever
         adds 1.0, so non-integer boosts mean an external writer is involved
-        and the flat representation must be kept).  Members are settled at
-        entry (the machine exits any previous rotation through a settling
-        flatten), so plain attribute reads are exact here.
+        and the flat representation must be kept).
         """
         forest = cls()
         levels = forest.levels
         current_boost: float | None = None
         members: list = []
         context = 0
-        min_remaining = NO_COMPLETION_BOUND
         for request in view:
             boost = request.priority_boost
             if boost != current_boost:
                 if not float(boost).is_integer():
                     return None
                 if members:
-                    levels.append(forest._new_level(int(current_boost), members, context, min_remaining))
+                    levels.append(forest._new_level(int(current_boost), members, context))
                 current_boost = boost
                 members = []
                 context = 0
-                min_remaining = NO_COMPLETION_BOUND
             members.append(request)
             context += request.prompt_tokens + request.generated_tokens
-            remaining = request.output_tokens - request.generated_tokens
-            if remaining < min_remaining:
-                min_remaining = remaining
         if members:
-            levels.append(forest._new_level(int(current_boost), members, context, min_remaining))
+            levels.append(forest._new_level(int(current_boost), members, context))
         return forest
 
-    def _new_level(self, stored: int, members: list, context: int, min_remaining: int) -> RotationLevel:
+    def _new_level(self, stored: int, members: list, context: int) -> RotationLevel:
         run = RotationRun(members)
         run.context = context
-        run.min_remaining = min_remaining
         return RotationLevel(stored, [run], len(members), context)
 
     # -- selection ------------------------------------------------------------------
@@ -228,9 +203,8 @@ class RotationForest:
                 selection.context += level.context
                 need -= level.size
             else:
-                extracted, context, bound = self._extract(level, need)
+                extracted, context = self._extract(level, need)
                 selection.split_level = level
-                selection.split_bound = bound
                 selection.extracted = extracted
                 selection.extracted_context = context
                 segments.append((None, None, extracted))
@@ -244,7 +218,7 @@ class RotationForest:
             return None
         return selection
 
-    def _extract(self, level: RotationLevel, count: int) -> tuple[list, int, int]:
+    def _extract(self, level: RotationLevel, count: int) -> tuple[list, int]:
         """Consume the ``count`` smallest ``(arrival, id)`` members of ``level``.
 
         Multi-run levels use a galloping k-way merge: instead of moving one
@@ -255,9 +229,8 @@ class RotationForest:
         switches are rare.
 
         Only the smaller side of each cut is walked for context (the larger
-        side's total is derived from the run's cache), a whole-run
-        consumption costs O(1), and the returned bound is the minimum
-        completion bound over the runs the extraction touched.
+        side's total is derived from the run's cache), and a whole-run
+        consumption costs O(1).
         """
         runs = level.runs
         if len(runs) == 1:
@@ -266,33 +239,21 @@ class RotationForest:
             stop = start + count
             members = run.members
             extracted = members[start:stop]
-            bound = run.min_remaining
             if stop == len(members):
                 # Whole live run consumed: O(1).
                 context = run.context
                 run.context = 0
             elif count <= len(members) - stop:
-                # The slice is the smaller side: sum it directly.  The
-                # inlined reads are the canonical columnar-deferral formula
-                # (generated == _svc_base + len(_svc_indices) while a
-                # request's index column is open — see
-                # repro.simulation.request); this walk is the hottest
-                # per-member work left in the rotation.
+                # The slice is the smaller side: sum it directly.
                 context = 0
                 for request in extracted:
-                    if request._svc_block is None:
-                        context += request.prompt_tokens + request.generated_tokens
-                    else:
-                        context += request.prompt_tokens + request._svc_base + len(request._svc_indices)
+                    context += request.prompt_tokens + request.generated_tokens
                 run.context -= context
             else:
                 # The remainder is smaller: walk it and subtract.
                 remainder_context = 0
                 for request in members[stop:]:
-                    if request._svc_block is None:
-                        remainder_context += request.prompt_tokens + request.generated_tokens
-                    else:
-                        remainder_context += request.prompt_tokens + request._svc_base + len(request._svc_indices)
+                    remainder_context += request.prompt_tokens + request.generated_tokens
                 context = run.context - remainder_context
                 run.context = remainder_context
             run.start = stop
@@ -300,7 +261,7 @@ class RotationForest:
             level.context -= context
             if not len(run):
                 level.runs = []
-            return extracted, context, bound
+            return extracted, context
         if len(runs) > self.MAX_SIBLING_RUNS:
             self._consolidate(level)
             runs = level.runs
@@ -316,7 +277,6 @@ class RotationForest:
         extend = extracted.extend
         taken = 0
         context = 0
-        bound = NO_COMPLETION_BOUND
         while taken < count:
             index = heap[0][2]
             run = runs[index]
@@ -337,8 +297,6 @@ class RotationForest:
                     min(len(members), room),
                     key=_member_key,
                 )
-            if run.min_remaining < bound:
-                bound = run.min_remaining
             if stop == len(members):
                 # Whole rest of the run: O(1) from the cache.
                 slice_context = run.context
@@ -347,23 +305,13 @@ class RotationForest:
                 # The consumed slice is the smaller side: sum it directly.
                 slice_context = 0
                 for request in members[start:stop]:
-                    if request._svc_block is None:
-                        slice_context += request.prompt_tokens + request.generated_tokens
-                    else:
-                        slice_context += (
-                            request.prompt_tokens + request._svc_base + len(request._svc_indices)
-                        )
+                    slice_context += request.prompt_tokens + request.generated_tokens
                 run.context -= slice_context
             else:
                 # The run's remainder is smaller: walk it and subtract.
                 remainder_context = 0
                 for request in members[stop:]:
-                    if request._svc_block is None:
-                        remainder_context += request.prompt_tokens + request.generated_tokens
-                    else:
-                        remainder_context += (
-                            request.prompt_tokens + request._svc_base + len(request._svc_indices)
-                        )
+                    remainder_context += request.prompt_tokens + request.generated_tokens
                 slice_context = run.context - remainder_context
                 run.context = remainder_context
             context += slice_context
@@ -380,7 +328,7 @@ class RotationForest:
         level.size -= count
         level.context -= context
         level.runs = [run for run in level.runs if len(run)]
-        return extracted, context, bound
+        return extracted, context
 
     def _unextract(self, selection: Selection) -> None:
         """Undo a split extraction after an aborted (over-budget) selection."""
@@ -391,7 +339,6 @@ class RotationForest:
         context = selection.extracted_context
         restored = RotationRun(extracted)
         restored.context = context
-        restored.min_remaining = selection.split_bound
         level.runs.insert(0, restored)
         level.size += len(extracted)
         level.context += context
@@ -405,25 +352,17 @@ class RotationForest:
         run = RotationRun(merged)
         for source in level.runs:
             run.context += source.context
-            if source.min_remaining < run.min_remaining:
-                run.min_remaining = source.min_remaining
         level.runs = [run]
 
     # -- aging ----------------------------------------------------------------------
 
-    def commit_aging(
-        self,
-        selection: Selection,
-        survivors: list,
-        survivors_context: int,
-        survivors_bound: int = NO_COMPLETION_BOUND,
-    ) -> None:
+    def commit_aging(self, selection: Selection, survivors: list, survivors_context: int) -> None:
         """Apply one aging pass: everyone not selected gains +1 boost.
 
         Implemented relatively: the forest offset rises by one while the
         wholly-selected levels and the split extraction (its ``survivors``,
         i.e. extracted members that did not complete this iteration, whose
-        post-service context total and completion bound the caller tracks)
+        post-service context total the caller tracks)
         step down one stored level, keeping their effective boost unchanged.
         """
         self.offset += 1
@@ -442,7 +381,6 @@ class RotationForest:
             if survivors:
                 run = RotationRun(survivors)
                 run.context = survivors_context
-                run.min_remaining = survivors_bound
                 index = levels.index(split)
                 below = levels[index + 1] if index + 1 < len(levels) else None
                 if below is not None and below.stored == split.stored - 1 and below.size > 0:
@@ -492,15 +430,10 @@ class RotationForest:
     # -- membership -----------------------------------------------------------------
 
     def insert(self, request) -> None:
-        """Add a newly admitted member at its current (integer) boost.
-
-        The newcomer is settled (it was just admitted), so plain attribute
-        reads are exact.
-        """
+        """Add a newly admitted member at its current (integer) boost."""
         effective = int(request.priority_boost)
         stored = effective - self.offset
         context = request.prompt_tokens + request.generated_tokens
-        remaining = request.output_tokens - request.generated_tokens
         levels = self.levels
         for index, level in enumerate(levels):
             if level.stored == stored:
@@ -513,15 +446,13 @@ class RotationForest:
                     target = RotationRun([request])
                     level.runs.append(target)
                 target.context += context
-                if remaining < target.min_remaining:
-                    target.min_remaining = remaining
                 level.size += 1
                 level.context += context
                 return
             if level.stored < stored:
-                levels.insert(index, self._new_level(stored, [request], context, remaining))
+                levels.insert(index, self._new_level(stored, [request], context))
                 return
-        levels.append(self._new_level(stored, [request], context, remaining))
+        levels.append(self._new_level(stored, [request], context))
 
     # -- materialization ------------------------------------------------------------
 
@@ -531,9 +462,7 @@ class RotationForest:
         Pure with respect to the forest structure (safe to call between any
         two iterations, and — with ``inflight`` — mid-iteration: the
         in-flight selection's consumed split extraction is spliced back in at
-        its level's head, where those members sort).  Columnar callers settle
-        deferred member state themselves (see
-        ``SimulatedMachine._materialize_rotation``).
+        its level's head, where those members sort).
         """
         flat: list = []
         offset = self.offset

@@ -65,7 +65,7 @@ from repro.batching.policies import (
     PriorityOrderedView,
     priority_key,
 )
-from repro.batching.rotation import NO_COMPLETION_BOUND as _NO_COMPLETION_BOUND, RotationForest
+from repro.batching.rotation import RotationForest
 from repro.core.kv_transfer import KVTransferModel
 from repro.hardware.machine import MachineSpec
 from repro.metrics.collectors import MetricsCollector
@@ -158,11 +158,7 @@ class SimulatedMachine:
         self.memory = MemoryModel(model, spec)
         self.metrics = metrics or MetricsCollector()
         self.kv_transfer = kv_transfer
-        # Columnar token telemetry (see repro.metrics.token_log): the machine
-        # appends iteration-boundary timestamps to its own timeline block and
-        # requests reference them as segments.
         self.token_log = self.metrics.token_log
-        self._timeline = self.token_log.timeline(name)
         # The machine only ever records into its own stats row; holding the
         # row skips the per-iteration name lookup in the collector.
         self._stats = self.metrics.machine_stats(name)
@@ -549,12 +545,8 @@ class SimulatedMachine:
         if self._rot_forest is not None:
             # The flat view is dormant while the rotation forest owns the
             # ordering; rebuild it (and the float boosts) for the cross-check,
-            # splicing the in-flight selection's extraction back in.  Deferred
-            # columnar state is settled so the recounts read exact values
-            # (the rotation re-anchors the members on its next service).
+            # splicing the in-flight selection's extraction back in.
             self._token_ready = PriorityOrderedView(self._rot_forest.flatten(self._rot_selection[0]))
-            for request in self._token_ready:
-                request._flush_service_indices()
         recounts = {
             "_queued_prompt_tokens": sum(r.prompt_tokens for r in self.pending_prompts),
             "_running_prompt_tokens": self._running_plan.prompt_tokens if self._running_plan else 0,
@@ -579,6 +571,12 @@ class SimulatedMachine:
             raise AccountingError(f"machine {self.name}: _token_ready out of sync with token_pool")
         if ready_keys != sorted(ready_keys):
             raise AccountingError(f"machine {self.name}: _token_ready is not in priority order")
+        for request in self._pool_by_id.values():
+            if len(request.token_times) != request.generated_tokens:
+                raise AccountingError(
+                    f"machine {self.name}: request {request.request_id} recorded "
+                    f"{len(request.token_times)} token times for {request.generated_tokens} tokens"
+                )
 
     # -- iteration loop -----------------------------------------------------------------
 
@@ -738,10 +736,6 @@ class SimulatedMachine:
         for duration in durations:
             time += duration
             append(time)
-        # The boundary series doubles as the run's shared timestamp block:
-        # every pool member will reference slices of it instead of copying
-        # the floats at commit time.
-        self.token_log.note_run_block(boundaries)
 
         self._ff_plan = plan
         self._ff_durations = durations
@@ -803,27 +797,14 @@ class SimulatedMachine:
         complete (the run stops one iteration short of the earliest
         completion) and nothing can age (the whole pool is in the batch), so
         the completion/aging arms of the per-iteration loop are provably dead
-        here.
-
-        Columnar recording makes the commit O(members): each member's tail
-        segment grows to cover ``boundaries[start:stop)`` by reference —
-        consecutive commits of one run extend the same segment — instead of
-        copying ``stop - start`` floats per member.
+        here.  Each member's token times are extended by the committed slice
+        of the boundary series.
         """
         plan = self._ff_plan
         count = stop - start
-        boundaries = self._ff_boundaries
+        times = self._ff_boundaries[start:stop]
         for request in plan.token_requests:
-            if request._tail_block is boundaries and request._tail_start + request._tail_count == start:
-                request._tail_count += count
-            else:
-                # Settle any deferred rotation state before touching the
-                # generated count, then open (or re-home) the tail.
-                request._flush_service_indices()
-                request._close_tail()
-                request._tail_block = boundaries
-                request._tail_start = start
-                request._tail_count = count
+            request.token_times.extend(times)
             request.generated_tokens += count
             request.phase = _TOKEN_RUNNING
         generated = count * len(plan.token_requests)
@@ -1016,7 +997,13 @@ class SimulatedMachine:
         return True
 
     def _on_rotation_step(self) -> None:
-        """Finish the in-flight rotation iteration and start the next."""
+        """Finish the in-flight rotation iteration and start the next.
+
+        Each serviced member takes the per-iteration finish loop's exact
+        transition (see :meth:`Request.generate_token`): its token time is
+        appended, its generated count and phase move, and a completer leaves
+        the pool at this boundary.
+        """
         forest = self._rot_forest
         if self.failed or forest is None:  # pragma: no cover - defensive; exits cancel the stepper
             return
@@ -1040,122 +1027,52 @@ class SimulatedMachine:
         on_request_complete = self.on_request_complete
         serviced = 0
         kv_delta = 0
-        completed_extracted_context = 0
         split_level = selection.split_level
-        split_completed = False
-        # Columnar recording with deferred member state: the boundary
-        # timestamp is appended once to the machine's timeline block and
-        # each serviced member appends the boundary's *position* to its
-        # own packed index column — the steady-state loop is that one
-        # C-level integer append.  ``generated_tokens``/``phase`` catch
-        # up lazily (the true count is derivable from the column), and
-        # completions are settled exactly at the boundaries where a
-        # run's conservative min-remaining bound says the earliest
-        # member can finish.
-        timeline = self._timeline
-        if selection.count:
-            timeline.append(now)
-            index = len(timeline) - 1
-        split_bound = selection.split_bound
+        running = _TOKEN_RUNNING  # a local read in the per-member loop
+        survivors: list[Request] = []
+        survivors_context = 0
         for level, run, members in selection.segments:
-            count = len(members)
-            serviced += count
-            if run is not None:
-                # Every live member's effective context grew by one.
-                run.context += count
+            # Context change of this segment: every member gains one token,
+            # and a completer leaves with its whole context.
+            growth = len(members)
+            serviced += growth
+            completed: list[Request] = []
             for request in members:
-                if request._svc_block is timeline:
-                    request._svc_indices.append(index)
-                else:
-                    # Mode/machine switch: seal the other open run first
-                    # so segments stay chronological, then re-anchor the
-                    # derived-count invariant.
-                    request._flush_service_indices()
-                    request._close_tail()
-                    indices = request._svc_indices
-                    if indices is None:
-                        indices = request._svc_indices = array("q")
-                    request._svc_block = timeline
-                    request._svc_base = request.generated_tokens - len(indices)
-                    indices.append(index)
-            completed = None
-            bound = (run.min_remaining if run is not None else split_bound) - 1
-            if bound <= 0:
-                # The earliest member may finish at this boundary: settle
-                # completions exactly and re-derive the bound.  (Bounds
-                # are conservative — chops inherit them — so the walk may
-                # find nothing and simply tighten.)
-                boost = float(
+                request.token_times.append(now)
+                generated = request.generated_tokens + 1
+                request.generated_tokens = generated
+                if generated < request.output_tokens:
+                    request.phase = running
+                    continue
+                request.phase = _COMPLETED
+                request.completion_time = now
+                request.priority_boost = float(
                     (level.stored if level is not None else split_level.stored) + offset
                 )
-                bound = _NO_COMPLETION_BOUND
-                for request in members:
-                    remaining = (
-                        request.output_tokens
-                        - request._svc_base
-                        - len(request._svc_indices)
-                    )
-                    if remaining == 0:
-                        request.generated_tokens = generated = request.output_tokens
-                        request.phase = _COMPLETED
-                        request.completion_time = now
-                        request.priority_boost = boost
-                        if completed is None:
-                            completed = []
-                        pre_context = request.prompt_tokens + generated - 1
-                        completed.append((request, pre_context))
-                        if level is None:
-                            completed_extracted_context += pre_context
-                            split_completed = True
-                        else:
-                            run.context -= pre_context + 1
-                        del pool_by_id[request.request_id]
-                        kv_delta -= request.prompt_tokens + generated
-                        if on_request_complete is not None:
-                            on_request_complete(request, self)
-                    elif remaining < bound:
-                        if remaining < 0:  # pragma: no cover - defensive
-                            raise RuntimeError(
-                                f"request {request.request_id} already complete"
-                            )
-                        bound = remaining
-            if run is not None:
-                run.min_remaining = bound
-            else:
-                split_bound = bound
-            # Level-cache maintenance: every serviced survivor's context
-            # grew by one; completers leave their level entirely (split
-            # members are not levelled until the aging commit).
-            if level is not None:
-                survivors_here = count
-                if completed is not None:
-                    removed_context = 0
-                    for _request, pre_context in completed:
-                        removed_context += pre_context
-                    level.size -= len(completed)
-                    level.context -= removed_context
-                    done = {id(_request) for _request, _ in completed}
-                    run.members = [r for r in run.live() if id(r) not in done]
-                    run.start = 0
-                    survivors_here -= len(completed)
-                level.context += survivors_here
+                completed.append(request)
+                context = request.prompt_tokens + generated
+                growth -= context
+                kv_delta -= context
+                del pool_by_id[request.request_id]
+                if on_request_complete is not None:
+                    on_request_complete(request, self)
+            if level is None:
+                # The split extraction is levelled by the aging commit.
+                survivors = [r for r in members if r.phase is not _COMPLETED] if completed else members
+                survivors_context = selection.extracted_context + growth
+                continue
+            run.context += growth
+            level.context += growth
+            if completed:
+                level.size -= len(completed)
+                done = {id(request) for request in completed}
+                run.members = [r for r in run.live() if id(r) not in done]
+                run.start = 0
+        if serviced:
+            self.token_log.boundaries += 1
         self._pool_decode_tokens -= serviced
         self._kv_tokens += serviced + kv_delta
-        if split_level is not None:
-            if split_completed:
-                survivors = [r for r in selection.extracted if r.phase is not _COMPLETED]
-            else:
-                survivors = selection.extracted
-            # Post-service context of the surviving extraction, without
-            # re-walking it: pre-service total, minus completed members'
-            # pre-service contexts, plus one generated token per survivor.
-            survivors_context = selection.extracted_context - completed_extracted_context + len(survivors)
-            survivors_bound = split_bound
-        else:
-            survivors = []
-            survivors_context = 0
-            survivors_bound = _NO_COMPLETION_BOUND
-        forest.commit_aging(selection, survivors, survivors_context, survivors_bound)
+        forest.commit_aging(selection, survivors, survivors_context)
         if self.on_iteration_complete is not None:
             self.on_iteration_complete(self)
         if len(pool_by_id) <= self.constraints.max_batch_size:
@@ -1173,20 +1090,12 @@ class SimulatedMachine:
         self._start_iteration()
 
     def _materialize_rotation(self, inflight) -> None:
-        """Flatten the forest back into the flat priority view (+ float boosts).
-
-        Columnar members settle their deferred state on the way out: every
-        consumer of the flat view (policies, fast-forward planning, restart
-        withdrawals) reads ``generated_tokens`` directly.
-        """
+        """Flatten the forest back into the flat priority view (+ float boosts)."""
         forest = self._rot_forest
         self._rot_forest = None
         self._rot_selection = None
         self._rot_event = None
-        flat = forest.flatten(inflight)
-        for request in flat:
-            request._flush_service_indices()
-        self._token_ready = PriorityOrderedView(flat)
+        self._token_ready = PriorityOrderedView(forest.flatten(inflight))
 
     def _rotation_interrupt(self) -> None:
         """Fall back to per-iteration stepping before a pool transition.
@@ -1350,49 +1259,27 @@ class SimulatedMachine:
         pool_by_id = self._pool_by_id
         generated_count = 0
         kv_delta = 0
-        token_requests = plan.token_requests
-        if token_requests:
-            # Columnar recording: the boundary timestamp is appended once to
-            # the machine's timeline block; each serviced request extends (or
-            # opens) a tail segment referencing it — consecutive services on
-            # this machine coalesce into one segment.
-            timeline = self._timeline
-            # Appended lazily on the first recorded member: a plan whose
-            # token requests were all withdrawn mid-iteration must not leave
-            # an orphan boundary in the timeline block.
-            index = -1
-            for request in token_requests:
-                if withdrawn and request.request_id in withdrawn:
-                    continue
-                if request.phase is _COMPLETED:
-                    raise RuntimeError(f"request {request.request_id} already complete")
-                if index < 0:
-                    timeline.append(now)
-                    index = len(timeline) - 1
-                if request._tail_block is timeline and request._tail_start + request._tail_count == index:
-                    request._tail_count += 1
-                else:
-                    # Settle any deferred rotation state before reading the
-                    # generated count, then open a fresh tail.
-                    request._flush_service_indices()
-                    request._close_tail()
-                    request._tail_block = timeline
-                    request._tail_start = index
-                    request._tail_count = 1
-                generated = request.generated_tokens + 1
-                request.generated_tokens = generated
-                generated_count += 1
-                if generated < request.output_tokens:
-                    request.phase = _TOKEN_RUNNING
-                else:
-                    request.phase = _COMPLETED
-                    request.completion_time = now
-                    del pool_by_id[request.request_id]
-                    self._remove_ready(request)
-                    kv_delta -= request.prompt_tokens + generated
-                    if on_request_complete is not None:
-                        on_request_complete(request, self)
+        for request in plan.token_requests:
+            if withdrawn and request.request_id in withdrawn:
+                continue
+            if request.phase is _COMPLETED:
+                raise RuntimeError(f"request {request.request_id} already complete")
+            request.token_times.append(now)
+            generated = request.generated_tokens + 1
+            request.generated_tokens = generated
+            generated_count += 1
+            if generated < request.output_tokens:
+                request.phase = _TOKEN_RUNNING
+            else:
+                request.phase = _COMPLETED
+                request.completion_time = now
+                del pool_by_id[request.request_id]
+                self._remove_ready(request)
+                kv_delta -= request.prompt_tokens + generated
+                if on_request_complete is not None:
+                    on_request_complete(request, self)
         if generated_count:
+            self.token_log.boundaries += 1
             self._pool_decode_tokens -= generated_count
             self._kv_tokens += generated_count + kv_delta
 

@@ -664,7 +664,7 @@ class ReliabilityCoordinator:
         """Withdraw a losing/expired attempt from its cluster.
 
         Returns the number of tokens the attempt had generated (the wasted
-        work), read after withdrawal so deferred columnar state is settled.
+        work).
         """
         cluster = self._cluster(cluster_name)
         if cluster is not None:

@@ -198,9 +198,8 @@ class MachineStats:
 class MetricsCollector:
     """Cluster-wide metric aggregation keyed by machine name.
 
-    Also owns the cluster's columnar :class:`~repro.metrics.token_log.TokenLog`:
-    machines obtain their timeline blocks from it at construction, and
-    post-run telemetry readers can inspect its recording statistics.
+    Also owns the cluster's :class:`~repro.metrics.token_log.TokenLog`, the
+    count of token-generating iteration boundaries its machines stepped.
     """
 
     def __init__(self) -> None:

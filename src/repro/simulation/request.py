@@ -14,32 +14,10 @@ immutable descriptor fields (``request_id``, ``arrival_time``,
 construction — attribute reads on the hot path cost one slot lookup instead
 of a property call plus a descriptor indirection.
 
-**Token telemetry is columnar** (see :mod:`repro.metrics.token_log`): the
-simulator no longer appends one timestamp per generated token.  Machines and
-the rotation steppers record *segments* — compact references into shared
-timestamp blocks, one per coalesced run or service run — and
-:attr:`Request.token_times` inverts them into the legacy packed
-``array('d')`` lazily on first observation, bit-for-bit identical to the old
-per-token recording.  The open-run state lives directly in request slots so
-the recording hot paths touch no other object:
-
-* ``_tail_block``/``_tail_start``/``_tail_count`` — an open *contiguous*
-  run: the request was serviced at consecutive positions of one block
-  (per-iteration stepping on one machine, or a fast-forward boundary
-  series).
-* ``_svc_block``/``_svc_indices``/``_svc_base``/``_svc_flushed`` — an open
-  *gather* run: the request's own index column.  Rotation services are
-  sparse on the machine timeline (a member is serviced every k-th boundary
-  while it rotates), so the stepper appends the boundary's *position* to the
-  request's packed ``array('q')`` — one C-level integer append per service,
-  with the timestamp itself stored exactly once in the machine's block.
-  While the column is open, ``generated_tokens`` and ``phase`` are
-  *deferred*: the true generated count is ``_svc_base + len(_svc_indices)``
-  (an invariant every settle preserves), so the rotation stepper's
-  steady-state loop is reduced to the one index append.  ``_svc_flushed``
-  marks the prefix already sealed into gather segments; sealing and settling
-  happen together when the request switches machines or recording modes, is
-  observed, or completes.
+Token times live in one packed ``array('d')`` per request
+(:attr:`Request.token_times`).  Every stepping path appends to it as it
+generates tokens, so ``len(token_times) == generated_tokens`` holds after
+every event (see ``docs/telemetry.md``).
 """
 
 from __future__ import annotations
@@ -49,7 +27,6 @@ from array import array
 
 import numpy as np
 
-from repro.metrics.token_log import materialize_into
 from repro.workload.trace import RequestDescriptor
 
 
@@ -61,7 +38,6 @@ class RequestPhase(enum.Enum):
     KV_TRANSFER = "kv_transfer"
     TOKEN_QUEUED = "token_queued"
     TOKEN_RUNNING = "token_running"
-    PREEMPTED = "preempted"
     COMPLETED = "completed"
     EXPIRED = "expired"
 
@@ -87,13 +63,11 @@ class Request:
         prompt_start_time: When the prompt phase began executing.
         first_token_time: When the first output token was produced (TTFT end).
         token_times: Emission time of every generated token, including the
-            first one produced by the prompt phase (packed ``array('d')``,
-            materialized lazily from the columnar segments on first read).
+            first one produced by the prompt phase (packed ``array('d')``).
         completion_time: When the last token was produced.
         generated_tokens: Number of output tokens produced so far.
         kv_transfer_start: When the KV-cache transfer began.
         kv_transfer_end: When the KV-cache transfer finished.
-        preemptions: Number of times the request's token phase was preempted.
         priority_boost: Scheduling priority accumulated through aging (used by
             mixed machines to avoid starvation after preemption).
         restarts: Number of times the request was restarted from scratch after
@@ -128,7 +102,6 @@ class Request:
         "generated_tokens",
         "kv_transfer_start",
         "kv_transfer_end",
-        "preemptions",
         "priority_boost",
         "restarts",
         "shed",
@@ -136,15 +109,7 @@ class Request:
         "e2e_deadline_s",
         "expired",
         "degraded",
-        "_token_times",
-        "_token_segments",
-        "_tail_block",
-        "_tail_start",
-        "_tail_count",
-        "_svc_block",
-        "_svc_indices",
-        "_svc_base",
-        "_svc_flushed",
+        "token_times",
     )
 
     def __init__(self, descriptor: RequestDescriptor, phase: RequestPhase = RequestPhase.QUEUED) -> None:
@@ -163,7 +128,6 @@ class Request:
         self.generated_tokens = 0
         self.kv_transfer_start: float | None = None
         self.kv_transfer_end: float | None = None
-        self.preemptions = 0
         self.priority_boost = 0.0
         self.restarts = 0
         self.shed = False
@@ -171,17 +135,7 @@ class Request:
         self.e2e_deadline_s = descriptor.e2e_deadline_s
         self.expired = False
         self.degraded = False
-        # Columnar token telemetry: materialized prefix + pending segments +
-        # the open contiguous / rotation runs (see the module docstring).
-        self._token_times: array = array("d")
-        self._token_segments: list | None = None
-        self._tail_block: array | None = None
-        self._tail_start = 0
-        self._tail_count = 0
-        self._svc_block: array | None = None
-        self._svc_indices: array | None = None
-        self._svc_base = 0
-        self._svc_flushed = 0
+        self.token_times = array("d")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -208,67 +162,6 @@ class Request:
         """Tokens of KV-cache context currently held for this request."""
         return self.prompt_tokens + self.generated_tokens
 
-    # -- columnar token recording ---------------------------------------------------
-
-    def _close_tail(self) -> None:
-        """Seal the open contiguous run into the pending segment list."""
-        block = self._tail_block
-        if block is not None:
-            segments = self._token_segments
-            if segments is None:
-                segments = self._token_segments = []
-            start = self._tail_start
-            segments.append((block, start, start + self._tail_count))
-            self._tail_block = None
-
-    def _flush_service_indices(self) -> None:
-        """Seal the open index column and settle the deferred member state.
-
-        Appends the unflushed index window as a gather segment, catches
-        ``generated_tokens`` up to ``_svc_base + len(_svc_indices)``, and
-        applies the deferred ``TOKEN_RUNNING`` transition.  Idempotent and
-        safe at any instant — the request's *effective* state is unchanged,
-        only its stored representation catches up."""
-        block = self._svc_block
-        if block is not None:
-            indices = self._svc_indices
-            flushed = self._svc_flushed
-            stop = len(indices)
-            if stop > flushed:
-                segments = self._token_segments
-                if segments is None:
-                    segments = self._token_segments = []
-                segments.append((block, indices, flushed, stop))
-                self._svc_flushed = stop
-            pending = self._svc_base + stop - self.generated_tokens
-            if pending > 0:
-                self.generated_tokens += pending
-                if self.phase is not RequestPhase.COMPLETED:
-                    self.phase = RequestPhase.TOKEN_RUNNING
-            self._svc_block = None
-
-    @property
-    def token_times(self) -> array:
-        """Emission time of every generated token (packed ``array('d')``).
-
-        Materialized lazily: pending columnar segments are inverted into the
-        packed array on first observation, preserving the per-token values
-        bit-for-bit.  The returned array is the live backing store — callers
-        may append to it (legacy recording does exactly that).
-        """
-        if self._svc_block is not None or self._tail_block is not None or self._token_segments:
-            self._flush_service_indices()
-            self._close_tail()
-            segments = self._token_segments
-            if segments:
-                materialize_into(self._token_times, segments)
-                segments.clear()
-        return self._token_times
-
-    def _append_token_time(self, time: float) -> None:
-        """Record one token timestamp at the end of the series (scalar path)."""
-        self.token_times.append(time)
-
     # -- lifecycle transitions ------------------------------------------------------
 
     def start_prompt(self, time: float, machine: str) -> None:
@@ -282,9 +175,7 @@ class Request:
         """Record the first output token (end of the prompt phase)."""
         if self.first_token_time is None:
             self.first_token_time = time
-        # Recording first: the append settles any deferred columnar state,
-        # so the increment below applies to the settled count.
-        self._append_token_time(time)
+        self.token_times.append(time)
         generated = self.generated_tokens + 1
         self.generated_tokens = generated
         if generated >= self.output_tokens:
@@ -305,26 +196,19 @@ class Request:
     def generate_token(self, time: float) -> None:
         """Record one generated token in the token phase.
 
-        NOTE: ``SimulatedMachine._finish_iteration`` inlines this state
-        transition on its per-token hot loop; keep the two in sync.
+        NOTE: ``SimulatedMachine._finish_iteration`` and
+        ``SimulatedMachine._on_rotation_step`` inline this state transition
+        on their per-token hot loops; keep the three in sync.
         """
         if self.phase is RequestPhase.COMPLETED:
             raise RuntimeError(f"request {self.request_id} already complete")
-        # Recording first: the append settles any deferred columnar state,
-        # so the increment below applies to the settled count.
-        self._append_token_time(time)
+        self.token_times.append(time)
         generated = self.generated_tokens + 1
         self.generated_tokens = generated
         if generated >= self.output_tokens:
             self.complete(time)
         else:
             self.phase = RequestPhase.TOKEN_RUNNING
-
-    def preempt(self, time: float) -> None:
-        """Preempt the token phase (mixed machines prioritizing prompts)."""
-        del time  # timestamp kept for interface symmetry / future tracing
-        self.phase = RequestPhase.PREEMPTED
-        self.preemptions += 1
 
     def complete(self, time: float) -> None:
         """Mark the request as fully generated."""
@@ -366,17 +250,9 @@ class Request:
         self.completion_time = winner.completion_time
         self.kv_transfer_start = winner.kv_transfer_start
         self.kv_transfer_end = winner.kv_transfer_end
-        self.preemptions = winner.preemptions
         self.degraded = winner.degraded
-        # Materialize the winner's columnar state and take an owned copy —
-        # the loser attempt's partial series on self is discarded.
-        self._token_times = array("d", winner.token_times)
-        self._token_segments = None
-        self._tail_block = None
-        self._svc_block = None
-        self._svc_indices = None
-        self._svc_base = 0
-        self._svc_flushed = 0
+        # An owned copy: the loser attempt's partial series on self is discarded.
+        self.token_times = array("d", winner.token_times)
         self.generated_tokens = winner.generated_tokens
 
     def reset_for_restart(self) -> None:
@@ -396,13 +272,7 @@ class Request:
         self.token_machine = None
         self.prompt_start_time = None
         self.first_token_time = None
-        self._token_times = array("d")
-        self._token_segments = None
-        self._tail_block = None
-        self._svc_block = None
-        self._svc_indices = None
-        self._svc_base = 0
-        self._svc_flushed = 0
+        self.token_times = array("d")
         self.generated_tokens = 0
         self.kv_transfer_start = None
         self.kv_transfer_end = None
@@ -429,10 +299,9 @@ class Request:
     def token_intervals_np(self) -> np.ndarray:
         """Per-token gaps after the first token as a float64 array.
 
-        Computed with one vectorized ``np.diff`` over the materialized
-        timestamps — identical float64 subtractions to the scalar loop, so
-        the values are bit-for-bit the legacy ones.  The result owns its
-        buffer (safe to keep).
+        Computed with one vectorized ``np.diff`` over the packed timestamps —
+        identical float64 subtractions to a scalar loop, so the values are
+        bit-for-bit the same.  The result owns its buffer (safe to keep).
         """
         times = self.token_times
         if len(times) < 2:
@@ -444,11 +313,6 @@ class Request:
     def token_intervals(self) -> list[float]:
         """Per-token gaps after the first token (the TBT series)."""
         return self.token_intervals_np.tolist()
-
-    @property
-    def tbt_values(self) -> list[float]:
-        """Per-token gaps after the first token (the TBT series)."""
-        return self.token_intervals
 
     @property
     def mean_tbt(self) -> float | None:

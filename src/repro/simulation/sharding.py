@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import multiprocessing
 import traceback
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -204,9 +203,8 @@ def plan_shards(
 def request_row(index: int, request: Request) -> tuple:
     """Pack one simulated request into a flat picklable row.
 
-    Columnar token-time segments are materialized into the packed
-    ``array('d')`` here, on the worker, so the row carries plain scalars and
-    one typed array — no live simulation objects cross the process boundary.
+    The row carries plain scalars and the request's packed ``array('d')`` of
+    token times — no live simulation objects cross the process boundary.
     """
     return (
         index,
@@ -219,19 +217,17 @@ def request_row(index: int, request: Request) -> tuple:
         request.generated_tokens,
         request.kv_transfer_start,
         request.kv_transfer_end,
-        request.preemptions,
         request.priority_boost,
         request.restarts,
-        array("d", request.token_times),
+        request.token_times,
     )
 
 
 def apply_request_row(request: Request, row: tuple) -> None:
     """Hydrate a coordinator-side request from a worker's :func:`request_row`.
 
-    The coordinator's request was never simulated, so its columnar segment
-    fields are still at their defaults; assigning the packed array makes
-    ``token_times`` return the worker-observed series bit-for-bit.
+    The coordinator's request was never simulated; after this it carries the
+    worker-observed state and token series bit-for-bit.
     """
     request.phase = RequestPhase(row[1])
     request.prompt_machine = row[2]
@@ -242,10 +238,9 @@ def apply_request_row(request: Request, row: tuple) -> None:
     request.generated_tokens = row[7]
     request.kv_transfer_start = row[8]
     request.kv_transfer_end = row[9]
-    request.preemptions = row[10]
-    request.priority_boost = row[11]
-    request.restarts = row[12]
-    request._token_times = row[13]
+    request.priority_boost = row[10]
+    request.restarts = row[11]
+    request.token_times = row[12]
 
 
 # -- running shards ---------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""Columnar token-recording parity across execution regimes.
+"""Token-recording parity across execution regimes.
 
-The columnar token log (see ``docs/telemetry.md``) must be *invisible* in
-simulation results: the segment-based recording materializes to bit-identical
-values — per-request token times, completion metadata, SLO reports, and
-per-machine stats — whether the simulator coalesces decode runs
+Every stepping path records token times on the request itself (see
+``docs/telemetry.md``), and results must not depend on which path ran:
+per-request token times, completion metadata, SLO reports, and per-machine
+stats are bit-identical whether the simulator coalesces decode runs
 (``fast_forward=True``, the macro-event + rotation regimes) or steps every
 iteration exactly (``fast_forward=False``).  Since the per-iteration path
-records through entirely different code than the coalesced paths, this parity
-pins the recording itself, not just the scheduling.
+records through different code than the coalesced paths, this parity pins
+the recording itself, not just the scheduling.
 
-These tests cover the recording edge cases named in the issue: zero-decode
-(prompt-only) requests, single-token decodes, restart-after-preemption
-(``Request.reset_for_restart`` via machine failures), and mixed prompt+token
-rotation iterations.
+The edge cases covered are zero-decode (prompt-only) requests, single-token
+decodes, restart-after-preemption (``Request.reset_for_restart`` via machine
+failures), and mixed prompt+token rotation iterations; one more test checks
+each pool member's generated count against its token series after every
+event.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.core.cluster import ClusterSimulation
 from repro.core.designs import baseline_h100, splitwise_hh
 from repro.experiments.fleet_sweep import prepare_fleet_run
 from repro.experiments.scenarios import prepare_scenario_run
+from repro.simulation.events import ARRIVAL_EVENT_PRIORITY
+from repro.simulation.request import Request
 from repro.workload.generator import generate_trace
 from repro.workload.scenarios import get_scenario
 from repro.workload.trace import RequestDescriptor, Trace
@@ -67,7 +70,7 @@ def _assert_slo_reports_identical(ref_report, col_report):
 
 
 def _run_cluster_pair(design, trace, failures=()):
-    """Run the trace per-iteration (reference) and coalesced (columnar fast paths)."""
+    """Run the trace per-iteration (reference) and coalesced (fast-forward + rotation)."""
     results = []
     for fast_forward in (False, True):
         simulation = ClusterSimulation(design, fast_forward=fast_forward)
@@ -133,6 +136,42 @@ class TestEdgeCaseParity:
         """Burst load drives token machines through the rotation + ff regimes."""
         trace = generate_trace("conversation", rate_rps=50.0, duration_s=30.0, seed=11)
         _assert_cluster_parity(splitwise_hh(2, 2), trace)
+
+
+class TestRecordingIsImmediate:
+    def test_counters_match_token_series_at_every_event(self):
+        """No stepping path lets ``generated_tokens`` lag the token series.
+
+        Drives the rotating trace of
+        ``test_mixed_prompt_and_token_rotation_iterations`` one event at a
+        time and, after every event, reads each pool member's counter before
+        its token series.
+        """
+        simulation = ClusterSimulation(baseline_h100(2))
+        trace = generate_trace("conversation", rate_rps=30.0, duration_s=25.0, seed=77)
+        simulation.prepare()
+        engine = simulation.engine
+        for descriptor in trace:
+            request = Request(descriptor=descriptor)
+            engine.schedule_at(
+                request.arrival_time,
+                lambda r=request: simulation.scheduler.submit(r),
+                priority=ARRIVAL_EVENT_PRIORITY,
+            )
+        reads = 0
+        while engine.step():
+            for machine in simulation.machines:
+                for request in machine.token_pool:
+                    generated = request.generated_tokens
+                    assert generated == len(request.token_times), (
+                        f"t={engine.now}: request {request.request_id} on {machine.name} "
+                        f"counts {generated} tokens but recorded {len(request.token_times)}"
+                    )
+                    reads += 1
+        assert reads
+        assert any(m.rotation_runs for m in simulation.machines), (
+            "the trace must actually drive the rotation engine"
+        )
 
 
 class TestScenarioParity:

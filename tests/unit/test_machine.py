@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.machine import MachineRole, SimulatedMachine
+from repro.core.machine import AccountingError, MachineRole, SimulatedMachine
 from repro.hardware.machine import DGX_H100
 from repro.metrics.collectors import MetricsCollector
 from repro.models.llm import LLAMA2_70B
@@ -120,6 +120,18 @@ class TestQueueAccounting:
         # Withdrawing an absent request is a no-op.
         machine.withdraw(queued)
         machine.verify_accounting()
+
+    def test_recount_catches_token_series_drift(self, machine):
+        request = _request(0, prompt=100, output=5)
+        request.start_prompt(0.0, "other")
+        request.finish_prompt(0.1)
+        machine.admit_token_request(request)
+        machine.verify_accounting()
+        # A timestamp recorded without a generated token (or the reverse)
+        # leaves every queue counter intact; only the series check sees it.
+        request.token_times.append(0.2)
+        with pytest.raises(AccountingError, match="2 token times for 1 tokens"):
+            machine.verify_accounting()
 
 
 class TestRoleTracking:

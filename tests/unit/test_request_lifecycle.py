@@ -192,7 +192,7 @@ class TestRetriesInFleet:
         for request in result.expired_requests:
             assert request.phase is RequestPhase.EXPIRED and not request.is_complete
 
-    def test_no_stale_token_segments_after_restart(self):
+    def test_no_stale_token_times_after_restart(self):
         fleet = _small_fleet(retry=RetryPolicy(max_retries=3, backoff_base_s=0.2))
         result = fleet.run(_quick_trace(), failures=self.FAILURE)
         restarted = [r for r in result.requests if r.restarts]

@@ -252,7 +252,7 @@ class TestRequestLifecycle:
         request.finish_prompt(0.1)
         for t in (0.2, 0.35, 0.45):
             request.generate_token(t)
-        assert request.tbt_values == pytest.approx([0.1, 0.15, 0.1])
+        assert request.token_intervals == pytest.approx([0.1, 0.15, 0.1])
         assert request.mean_tbt == pytest.approx(0.35 / 3)
         assert request.max_tbt == pytest.approx(0.15)
 
@@ -281,13 +281,6 @@ class TestRequestLifecycle:
         request.finish_kv_transfer(0.2)
         assert request.is_complete
 
-    def test_preemption_counts(self, make_request):
-        request = make_request(output=5)
-        request.preempt(1.0)
-        request.preempt(2.0)
-        assert request.preemptions == 2
-        assert request.phase is RequestPhase.PREEMPTED
-
     def test_context_grows_with_generated_tokens(self, make_request):
         request = make_request(prompt=100, output=5)
         request.start_prompt(0.0, "p0")
@@ -297,7 +290,7 @@ class TestRequestLifecycle:
 
 
 class TestTokenIntervals:
-    def test_intervals_match_tbt_values_without_copies(self):
+    def test_intervals_match_numpy_view(self):
         from repro.workload.trace import RequestDescriptor
 
         request = Request(
@@ -306,7 +299,7 @@ class TestTokenIntervals:
         for time in (1.0, 1.1, 1.25, 1.35):
             request.token_times.append(time)
         assert request.token_intervals == pytest.approx([0.1, 0.15, 0.1])
-        assert request.tbt_values == request.token_intervals
+        assert request.token_intervals == request.token_intervals_np.tolist()
 
     def test_token_times_is_a_packed_array(self):
         from array import array
@@ -321,3 +314,38 @@ class TestTokenIntervals:
         request.reset_for_restart()
         assert isinstance(request.token_times, array)
         assert len(request.token_times) == 0
+
+
+class TestShardRequestRows:
+    def test_row_round_trip_carries_every_simulated_field(self):
+        from repro.simulation.sharding import apply_request_row, request_row
+        from repro.workload.trace import RequestDescriptor
+
+        descriptor = RequestDescriptor(request_id=3, arrival_time_s=0.5, prompt_tokens=64, output_tokens=6)
+        simulated = Request(descriptor=descriptor)
+        simulated.start_prompt(0.5, "p0")
+        simulated.finish_prompt(0.8)
+        simulated.reset_for_restart()
+        simulated.start_prompt(1.0, "p1")
+        simulated.finish_prompt(1.25)
+        simulated.start_kv_transfer(1.25)
+        simulated.finish_kv_transfer(1.3)
+        simulated.token_machine = "t0"
+        simulated.priority_boost = 2.0
+        for time in (1.4, 1.5):
+            simulated.generate_token(time)
+
+        row = request_row(7, simulated)
+        assert row[0] == 7
+        hydrated = Request(descriptor=descriptor)
+        apply_request_row(hydrated, row)
+        fields = (
+            "phase", "prompt_machine", "token_machine", "prompt_start_time", "first_token_time",
+            "completion_time", "generated_tokens", "kv_transfer_start", "kv_transfer_end",
+            "priority_boost", "restarts",
+        )
+        assert {f: getattr(hydrated, f) for f in fields} == {f: getattr(simulated, f) for f in fields}
+        assert hydrated.restarts == 1
+        assert hydrated.phase is RequestPhase.TOKEN_RUNNING
+        assert list(hydrated.token_times) == [1.25, 1.4, 1.5]
+        assert len(hydrated.token_times) == hydrated.generated_tokens
