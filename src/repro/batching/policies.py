@@ -141,14 +141,14 @@ class BatchingPolicy(ABC):
 
     #: True when, given an empty prompt queue, the policy's token selection is
     #: exactly the first ``max_batch_size`` pool members in priority order
-    #: (skipping only over-budget members).  The steady-state rotation engine
+    #: (skipping only over-budget members).  A machine's rotation forest
     #: relies on this to reproduce the selection without invoking the policy.
     prefix_token_selection: bool = False
 
     #: True when, with prompts queued, the policy composes an iteration as
-    #: FCFS prompt admission followed by prefix token selection over the
-    #: remaining slots (the mixed continuous shape).  Lets the rotation engine
-    #: keep stepping through prompt arrivals instead of bailing out.
+    #: FCFS prompt admission (:meth:`_select_prompts_with_total`) followed by
+    #: prefix token selection over the remaining slots (the mixed continuous
+    #: shape).  Lets a forest-ordered pool keep its forest while prompts queue.
     prefix_mixed_composition: bool = False
 
     @abstractmethod

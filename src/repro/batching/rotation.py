@@ -31,9 +31,11 @@ side** of a chop: the slice's context is summed directly when the slice is
 smaller, or derived by subtracting the walked remainder from the cached
 total when it is not — and a chop consuming a whole run costs O(1).
 
-The forest only orders the pool; ``SimulatedMachine._on_rotation_step``
-services each selected member exactly as the per-iteration finish loop does
-(token time, generated count, phase, completion).
+The forest only orders the pool: the machine composes and finishes a
+forest-ordered iteration like any other, services the selected batch in its
+one per-member finish loop (token time, generated count, phase,
+completion), and hands the completers to :meth:`RotationForest.commit_aging`,
+which keeps the run and level caches and ages the skipped.
 
 The forest reproduces the flat view's order *exactly*: effective boosts are
 ``stored + offset`` (integer-valued, as produced by +1.0 aging steps), and
@@ -105,8 +107,8 @@ class Selection:
     """The batch for one rotation iteration plus the data aging needs."""
 
     __slots__ = (
+        "batch",
         "segments",
-        "count",
         "context",
         "whole_levels",
         "split_level",
@@ -115,11 +117,11 @@ class Selection:
     )
 
     def __init__(self) -> None:
-        #: One ``(level, run, members)`` triple per contributing run;
-        #: ``level``/``run`` are ``None`` for the split extraction (its
-        #: members are not levelled until the aging commit).
+        self.batch: list = []
+        #: One ``(level, run, stop)`` triple per contributing run, whose
+        #: members end at ``batch[stop]``; ``level``/``run`` are ``None`` for
+        #: the split extraction (not levelled until the aging commit).
         self.segments: list[tuple] = []
-        self.count = 0
         self.context = 0
         self.whole_levels: list[RotationLevel] = []
         self.split_level: RotationLevel | None = None
@@ -127,11 +129,12 @@ class Selection:
         self.extracted_context = 0
 
     def requests(self) -> list:
-        """The batch in priority order (matches the flat view's selection)."""
-        flat: list = []
-        for _, _, members in self.segments:
-            flat.extend(members)
-        return flat
+        """The batch: whole levels run by run, then the split extraction.
+
+        The same members as the flat view's prefix; sibling runs of a
+        wholly-selected level are listed one after another, not merged.
+        """
+        return self.batch
 
 
 class RotationForest:
@@ -190,6 +193,7 @@ class RotationForest:
         KV budget would force the policy to skip a member (caller falls back
         to the exact policy path for that iteration)."""
         selection = Selection()
+        batch = selection.batch
         segments = selection.segments
         need = limit
         for level in self.levels:
@@ -197,9 +201,9 @@ class RotationForest:
                 break
             if level.size <= need:
                 for run in level.runs:
-                    segments.append((level, run, run.live()))
+                    batch.extend(run.live())
+                    segments.append((level, run, len(batch)))
                 selection.whole_levels.append(level)
-                selection.count += level.size
                 selection.context += level.context
                 need -= level.size
             else:
@@ -207,8 +211,8 @@ class RotationForest:
                 selection.split_level = level
                 selection.extracted = extracted
                 selection.extracted_context = context
-                segments.append((None, None, extracted))
-                selection.count += need
+                batch.extend(extracted)
+                segments.append((None, None, len(batch)))
                 selection.context += context
                 need = 0
         if selection.context > kv_budget:
@@ -356,16 +360,56 @@ class RotationForest:
 
     # -- aging ----------------------------------------------------------------------
 
-    def commit_aging(self, selection: Selection, survivors: list, survivors_context: int) -> None:
-        """Apply one aging pass: everyone not selected gains +1 boost.
+    def commit_aging(self, selection: Selection, completed: list) -> None:
+        """Commit one served iteration, then age everyone not selected by +1.
 
-        Implemented relatively: the forest offset rises by one while the
-        wholly-selected levels and the split extraction (its ``survivors``,
-        i.e. extracted members that did not complete this iteration, whose
-        post-service context total the caller tracks)
-        step down one stored level, keeping their effective boost unchanged.
+        Every member of ``selection`` generated one token, and ``completed``
+        are those it finished, in batch order.  Each serviced run and its
+        level grow their context caches by one per member; a completer
+        leaves its run with its whole context and keeps the effective boost
+        it was served at (what the flat path leaves on it).
+
+        Aging is relative: the forest offset rises by one while the
+        wholly-selected levels and the split extraction's survivors step
+        down one stored level, keeping their effective boost unchanged.
         """
-        self.offset += 1
+        offset = self.offset
+        # Completers come in batch order, so each segment's are one slice of
+        # ``completed``, cut at the segment's stop.
+        positions = []
+        position = 0
+        for request in completed:
+            position = selection.batch.index(request, position)
+            positions.append(position)
+        survivors = selection.extracted
+        survivors_context = 0
+        start = 0
+        first = 0
+        for level, run, stop in selection.segments:
+            growth = stop - start
+            last = bisect_left(positions, stop, first) if positions else first
+            if last > first:
+                gone = completed[first:last]
+                done = {id(request) for request in gone}
+                owner = selection.split_level if level is None else level
+                boost = float(owner.stored + offset)
+                for request in gone:
+                    request.priority_boost = boost
+                    growth -= request.prompt_tokens + request.generated_tokens
+                if run is None:
+                    survivors = [r for r in survivors if id(r) not in done]
+                else:
+                    level.size -= len(gone)
+                    run.members = [r for r in run.live() if id(r) not in done]
+                    run.start = 0
+                first = last
+            if run is None:
+                survivors_context = selection.extracted_context + growth
+            else:
+                run.context += growth
+                level.context += growth
+            start = stop
+        self.offset = offset + 1
         dirty = False
         previous_stored = None
         for level in selection.whole_levels:
@@ -461,20 +505,19 @@ class RotationForest:
 
         Pure with respect to the forest structure (safe to call between any
         two iterations, and — with ``inflight`` — mid-iteration: the
-        in-flight selection's consumed split extraction is spliced back in at
-        its level's head, where those members sort).
+        in-flight selection's consumed split extraction is merged back into
+        its level like any sibling run, since members admitted since may
+        sort inside it).
         """
         flat: list = []
         offset = self.offset
         split = inflight.split_level if inflight is not None else None
         for level in self.levels:
             boost = float(level.stored + offset)
+            runs = [run.live() for run in level.runs]
             if level is split:
-                for request in inflight.extracted:
-                    request.priority_boost = boost
-                    flat.append(request)
-            runs = level.runs
-            members = runs[0].live() if len(runs) == 1 else heapq.merge(*(run.live() for run in runs), key=_member_key)
+                runs.append(inflight.extracted)
+            members = runs[0] if len(runs) == 1 else heapq.merge(*runs, key=_member_key)
             for request in members:
                 request.priority_boost = boost
                 flat.append(request)

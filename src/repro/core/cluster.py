@@ -87,7 +87,6 @@ class SimulationResult:
         reference_model: PerformanceModel | None = None,
         policy: SloPolicy = DEFAULT_SLO,
         model: ModelSpec | None = None,
-        tbt_mode: str = "per-token",
     ) -> SloReport:
         """Evaluate the paper's Table VI SLO against an uncontended reference.
 
@@ -96,12 +95,10 @@ class SimulationResult:
                 model running on an uncontended DGX-A100 (the paper's choice).
             policy: SLO percentile limits.
             model: LLM used to build the default reference model.
-            tbt_mode: TBT percentile definition — ``"per-token"`` (pooled
-                per-token gaps, paper-faithful) or ``"per-request-mean"``.
         """
         if reference_model is None:
             reference_model = AnalyticalPerformanceModel(model or LLAMA2_70B, DGX_A100)
-        return evaluate_slo(self.requests, reference_model, policy, tbt_mode=tbt_mode)
+        return evaluate_slo(self.requests, reference_model, policy)
 
     def tenant_slo_report(
         self,
@@ -109,7 +106,6 @@ class SimulationResult:
         policies: dict[str, SloPolicy] | None = None,
         default_policy: SloPolicy = DEFAULT_SLO,
         model: ModelSpec | None = None,
-        tbt_mode: str = "per-token",
     ) -> TenantSloReport:
         """Per-tenant SLO verdicts plus the fleet-level roll-up.
 
@@ -119,13 +115,10 @@ class SimulationResult:
             policies: Optional per-tenant :class:`SloPolicy` overrides.
             default_policy: Policy for tenants without an explicit entry.
             model: LLM used to build the default reference model.
-            tbt_mode: See :meth:`slo_report`.
         """
         if reference_model is None:
             reference_model = AnalyticalPerformanceModel(model or LLAMA2_70B, DGX_A100)
-        return evaluate_slo_by_tenant(
-            self.requests, reference_model, policies, default_policy, tbt_mode=tbt_mode
-        )
+        return evaluate_slo_by_tenant(self.requests, reference_model, policies, default_policy)
 
     def total_energy_wh(self) -> float:
         """Total GPU energy consumed by the cluster in watt-hours."""

@@ -34,14 +34,14 @@ results bit-identical to per-iteration stepping:
   accounting checks) or transitions (enqueue/admit/withdraw/fail).  A
   transition tombstones the macro-event and resumes per-iteration stepping
   at the in-flight iteration's boundary.
-* **Oversubscribed rotation.**  With more pool members than batch slots, the
-  aging round-robin is stepped through a
-  :class:`~repro.batching.rotation.RotationForest` in O(batch) per
-  iteration instead of O(pool).  Every rotation iteration keeps its own
-  event at the true boundary, so arrivals, admissions, completions, and
-  pool restores all happen at exact per-iteration times; withdrawals,
-  failures, or a binding KV budget flatten the forest back into the exact
-  policy path.
+* **Oversubscribed rotation.**  With more pool members than batch slots, a
+  :class:`~repro.batching.rotation.RotationForest` orders the pool, so the
+  aging round-robin selects each batch and boosts the skipped in O(batch)
+  instead of O(pool).  The iterations are the ordinary ones, composed in
+  ``_start_iteration`` and finished at their own event by
+  ``_finish_iteration``, so arrivals, admissions, completions, and pool
+  restores all happen at exact per-iteration times; withdrawals, failures,
+  or a binding KV budget flatten the forest back into the flat view.
 
 Disable both with ``fast_forward=False``.
 """
@@ -232,14 +232,11 @@ class SimulatedMachine:
         self._ff_recorded = 0
         self._ff_event = None
         self.fast_forward_runs = 0  # macro-events launched (introspection)
-        # Steady-state rotation state (oversubscribed pools): the level forest
-        # replaces the flat priority view while active, and the in-flight
-        # iteration's selection is precomputed one step ahead so admissions
-        # landing mid-iteration cannot retroactively join it.
+        # Oversubscribed pools: the level forest replaces the flat priority
+        # view while active, and holds the in-flight iteration's selection
+        # until that iteration's aging is committed.
         self._rot_forest: RotationForest | None = None
         self._rot_selection = None
-        self._rot_event = None
-        self._rot_tag = f"{name}:rotate"
         self.rotation_runs = 0  # rotation engagements (introspection)
 
         # Callbacks wired by the cluster simulation.
@@ -257,10 +254,6 @@ class SimulatedMachine:
         """
         if self.failed:
             raise RuntimeError(f"machine {self.name} has failed and cannot accept prompts")
-        if self._rot_forest is not None and not self.policy.prefix_mixed_composition:
-            # The rotation can't compose this policy's prompt iterations;
-            # hand the next boundary back to the exact path.
-            self._rotation_interrupt()
         self._ff_interrupt()
         self.pending_prompts.append(request)
         self._queued_prompt_tokens += request.prompt_tokens
@@ -296,19 +289,18 @@ class SimulatedMachine:
             return
         if self._rot_forest is not None:
             if float(request.priority_boost).is_integer():
-                # A steady-state rotation absorbs admissions without breaking:
-                # the in-flight iteration's batch is already fixed (exactly as
-                # a real in-flight iteration's is), and the forest places the
-                # newcomer at its boost level, where the next aging pass
-                # boosts it just as the per-iteration path's
-                # admitted-during-iteration count would.
+                # The forest absorbs admissions: the in-flight iteration's
+                # batch is already fixed, and the forest places the newcomer
+                # at its boost level, where the next aging pass boosts it
+                # just as the flat path's admitted-during-iteration count
+                # would.
                 self._pool_by_id[request.request_id] = request
                 self._pool_decode_tokens += request.output_tokens - request.generated_tokens
                 self._kv_tokens += request.prompt_tokens + request.generated_tokens
                 self._rot_forest.insert(request)
                 return
             # Non-integer boost (external writer): the forest can't represent
-            # it; fall back to the exact flat path, like entry does.
+            # it; hand the pool back to the flat view.
             self._rotation_interrupt()
         self._ff_interrupt()
         insort(self._token_ready, request, key=priority_key)
@@ -545,8 +537,8 @@ class SimulatedMachine:
         if self._rot_forest is not None:
             # The flat view is dormant while the rotation forest owns the
             # ordering; rebuild it (and the float boosts) for the cross-check,
-            # splicing the in-flight selection's extraction back in.
-            self._token_ready = PriorityOrderedView(self._rot_forest.flatten(self._rot_selection[0]))
+            # merging the in-flight selection's extraction back in.
+            self._token_ready = PriorityOrderedView(self._rot_forest.flatten(self._rot_selection))
         recounts = {
             "_queued_prompt_tokens": sum(r.prompt_tokens for r in self.pending_prompts),
             "_running_prompt_tokens": self._running_plan.prompt_tokens if self._running_plan else 0,
@@ -594,29 +586,29 @@ class SimulatedMachine:
         if self._busy or self.failed:
             return
         # Oversubscribed steady state: more pool members than batch slots and
-        # a prefix-selecting policy — the pool enters the aging rotation,
-        # which the level forest steps in O(batch) per iteration instead of
-        # O(pool).  Every iteration keeps its own event at the true boundary
-        # (so cross-machine callbacks, prompt admissions, and pool restores
-        # all run at exact per-iteration times); arrivals and admissions are
-        # absorbed live, and only withdrawals, failures, or a binding KV
-        # budget fall back to the exact policy path.
+        # a prefix-selecting policy.  The rotation forest then orders the
+        # pool, so selecting the batch and aging the skipped cost O(batch)
+        # instead of O(pool).  It is kept across iterations and flattened
+        # back into the flat view once the pool fits one batch again.
+        plan = None
         if (
             self.fast_forward_enabled
             and not self._withdrawn_ids
             and len(self._pool_by_id) > self.constraints.max_batch_size
             and self.policy.prefix_token_selection
             and (not self.pending_prompts or self.policy.prefix_mixed_composition)
-            and self._try_enter_rotation()
         ):
-            return
-        # The FCFS-sorted ready view makes the policy's priority ordering a
-        # detected no-op whenever no request carries an aging boost.
-        plan = self.policy.plan_iteration(
-            self.pending_prompts, self._token_ready, self.constraints, self._kv_tokens
-        )
-        if plan.is_empty:
-            return
+            plan = self._forest_plan()
+        elif self._rot_forest is not None:
+            self._flatten_forest()
+        if plan is None:
+            # The FCFS-sorted ready view makes the policy's priority ordering
+            # a detected no-op whenever no request carries an aging boost.
+            plan = self.policy.plan_iteration(
+                self.pending_prompts, self._token_ready, self.constraints, self._kv_tokens
+            )
+            if plan.is_empty:
+                return
         self._busy = True
         self._running_plan = plan
         self._pool_len_at_plan = len(self._pool_by_id)
@@ -664,9 +656,15 @@ class SimulatedMachine:
             prompt_latency *= self._transfer_interference(plan)
         else:
             prompt_latency = 0.0
-        token_latency = (
-            self.performance.token_latency(token_requests, context_tokens) if token_requests else 0.0
-        )
+        if not token_requests:
+            token_latency = 0.0
+        elif self._rot_forest is not None:
+            # A rotating batch's (count, context) key is transient (context
+            # grows every iteration), so the memo table would only churn; the
+            # uncached path computes the same value without touching it.
+            token_latency = self.performance.token_latency_uncached(token_requests, context_tokens)
+        else:
+            token_latency = self.performance.token_latency(token_requests, context_tokens)
         duration = prompt_latency + token_latency
 
         energy_wh = 0.0
@@ -675,8 +673,7 @@ class SimulatedMachine:
         if token_requests:
             energy_wh += self.power.token_energy_wh(token_requests, token_latency)
 
-        self.metrics.record_iteration(
-            self.name,
+        self._stats.add_iteration(
             duration,
             plan.active_tokens,
             energy_wh,
@@ -877,269 +874,84 @@ class SimulatedMachine:
 
     # -- oversubscribed-pool rotation ----------------------------------------------------
 
-    def _try_enter_rotation(self) -> bool:
-        """Switch the pool into forest-backed rotation stepping.
+    def _forest_plan(self) -> BatchPlan | None:
+        """The next iteration composed over the rotation forest, or None.
 
-        Returns False — leaving the caller on the exact policy path — when
-        the pool carries non-integer boosts (external writer) or the very
-        first iteration can't be composed (a KV-budget skip would be needed).
+        Prompts are admitted by the policy's own FCFS rule and the forest
+        selects the token batch over the remaining slots, so the plan is
+        the one the policy would return.  None sends the iteration down the
+        policy path, with the admission undone and the forest flattened:
+        the pool carries a non-integer boost (external writer), or the KV
+        budget would make the policy skip a member.
         """
-        forest = RotationForest.from_ordered_view(self._token_ready)
-        if forest is None:
-            return False
-        self._rot_forest = forest
-        self._busy = True
-        self._aging_pending = False
-        self._admitted_during_iteration = 0
-        if not self._rot_begin_iteration():
-            self._rot_forest = None
-            self._busy = False
-            return False
-        self.rotation_runs += 1
-        return True
-
-    def _rot_begin_iteration(self) -> bool:
-        """Compose and start one rotation iteration at the current instant.
-
-        Reproduces the per-iteration start path exactly — FCFS prompt
-        admission, prefix token selection, the same latency/energy/metric
-        calls — against the forest instead of the flat view.  The iteration
-        is fixed here, one boundary ahead, so later arrivals cannot join it,
-        just as a real in-flight plan is fixed at its start.  Returns False
-        (without side effects) when composition needs the exact policy path.
-        """
+        forest = self._rot_forest
+        fresh = forest is None
+        if fresh:
+            forest = RotationForest.from_ordered_view(self._token_ready)
+            if forest is None:
+                return None
         constraints = self.constraints
         pending = self.pending_prompts
-        prompt_count = 0
-        prompt_tokens = 0
-        if pending:
-            if not self.policy.prefix_mixed_composition:
-                return False
-            # Non-destructive replica of FCFS prompt admission: count and sum
-            # first, pop only once the iteration is definitely rotation-run.
-            max_prompt_tokens = constraints.max_prompt_tokens
-            slots = constraints.max_batch_size
-            for request in pending:
-                if prompt_count and prompt_tokens + request.prompt_tokens > max_prompt_tokens:
-                    break
-                prompt_count += 1
-                prompt_tokens += request.prompt_tokens
-                if prompt_count >= slots:
-                    break
-        selection = self._rot_forest.select(
-            constraints.max_batch_size - prompt_count,
-            constraints.kv_capacity - prompt_tokens if prompt_tokens <= constraints.kv_capacity else 0,
+        prompts, prompt_tokens = BatchingPolicy._select_prompts_with_total(
+            pending, constraints, constraints.max_batch_size
+        )
+        selection = forest.select(
+            constraints.max_batch_size - len(prompts), max(0, constraints.kv_capacity - prompt_tokens)
         )
         if selection is None:
-            return False
-
-        prompts: list[Request] = []
-        if prompt_count:
-            queued_by_id = self._queued_by_id
-            popleft = pending.popleft
-            for _ in range(prompt_count):
-                request = popleft()
-                prompts.append(request)
-                queued_by_id.pop(request.request_id, None)
-            self._queued_prompt_tokens -= prompt_tokens
-            self._running_prompt_tokens = prompt_tokens
-        token_requests = selection.count
-        # The plan's token list is materialized lazily: the stepper services
-        # the selection's segments directly, and every reader of a rotation
-        # plan's ``token_requests`` (interrupts, failures) goes through
-        # ``_rotation_interrupt``, which rebuilds the list from the
-        # flattened view anyway.
-        plan = BatchPlan(
+            pending.extendleft(reversed(prompts))
+            if not fresh:
+                self._flatten_forest()
+            return None
+        if fresh:
+            self._rot_forest = forest
+            self.rotation_runs += 1
+        self._rot_selection = selection
+        return BatchPlan(
             prompt_requests=prompts,
-            token_requests=[],
+            token_requests=selection.requests(),
             prompt_tokens=prompt_tokens,
             context_tokens=selection.context,
         )
-        self._running_plan = plan
 
-        if prompt_tokens:
-            prompt_latency = self.performance.prompt_latency(prompt_tokens)
-            prompt_latency *= self._transfer_interference(plan)
-        else:
-            prompt_latency = 0.0
-        # The rotating batch's (count, context) key is transient (context
-        # grows every iteration), so the memo table would only churn; the
-        # uncached path computes the same value operation-for-operation
-        # without touching it.
-        token_latency = (
-            self.performance.token_latency_uncached(token_requests, selection.context)
-            if token_requests
-            else 0.0
-        )
-        duration = prompt_latency + token_latency
-
-        energy_wh = 0.0
-        if prompt_tokens:
-            energy_wh += self.power.prompt_energy_wh(prompt_tokens, prompt_latency)
-        if token_requests:
-            energy_wh += self.power.token_energy_wh(token_requests, token_latency)
-
-        self._stats.add_iteration(
-            duration, prompt_tokens + token_requests, energy_wh, prompt_tokens,
-            prompt_count + token_requests,
-        )
-
-        if prompts:
-            now = self.engine.now
-            name = self.name
-            for request in prompts:
-                request.start_prompt(now, name)
-
-        self._rot_selection = (selection, plan, prompt_latency)
-        self._rot_event = self.engine.schedule_after(
-            duration, self._on_rotation_step, priority=FINISH_EVENT_PRIORITY, tag=self._rot_tag
-        )
-        return True
-
-    def _on_rotation_step(self) -> None:
-        """Finish the in-flight rotation iteration and start the next.
-
-        Each serviced member takes the per-iteration finish loop's exact
-        transition (see :meth:`Request.generate_token`): its token time is
-        appended, its generated count and phase move, and a completer leaves
-        the pool at this boundary.
-        """
-        forest = self._rot_forest
-        if self.failed or forest is None:  # pragma: no cover - defensive; exits cancel the stepper
-            return
-        selection, plan, prompt_latency = self._rot_selection
-        now = self.engine.now
-        self._running_prompt_tokens = 0
-        self._running_plan = None
-
-        if plan.prompt_requests:
-            on_prompt_complete = self.on_prompt_complete
-            on_request_complete = self.on_request_complete
-            for request in plan.prompt_requests:
-                request.finish_prompt(now)
-                if on_prompt_complete is not None:
-                    on_prompt_complete(request, self, prompt_latency)
-                if request.phase is _COMPLETED and on_request_complete is not None:
-                    on_request_complete(request, self)
-
-        offset = forest.offset
-        pool_by_id = self._pool_by_id
-        on_request_complete = self.on_request_complete
-        serviced = 0
-        kv_delta = 0
-        split_level = selection.split_level
-        running = _TOKEN_RUNNING  # a local read in the per-member loop
-        survivors: list[Request] = []
-        survivors_context = 0
-        for level, run, members in selection.segments:
-            # Context change of this segment: every member gains one token,
-            # and a completer leaves with its whole context.
-            growth = len(members)
-            serviced += growth
-            completed: list[Request] = []
-            for request in members:
-                request.token_times.append(now)
-                generated = request.generated_tokens + 1
-                request.generated_tokens = generated
-                if generated < request.output_tokens:
-                    request.phase = running
-                    continue
-                request.phase = _COMPLETED
-                request.completion_time = now
-                request.priority_boost = float(
-                    (level.stored if level is not None else split_level.stored) + offset
-                )
-                completed.append(request)
-                context = request.prompt_tokens + generated
-                growth -= context
-                kv_delta -= context
-                del pool_by_id[request.request_id]
-                if on_request_complete is not None:
-                    on_request_complete(request, self)
-            if level is None:
-                # The split extraction is levelled by the aging commit.
-                survivors = [r for r in members if r.phase is not _COMPLETED] if completed else members
-                survivors_context = selection.extracted_context + growth
-                continue
-            run.context += growth
-            level.context += growth
-            if completed:
-                level.size -= len(completed)
-                done = {id(request) for request in completed}
-                run.members = [r for r in run.live() if id(r) not in done]
-                run.start = 0
-        if serviced:
-            self.token_log.boundaries += 1
-        self._pool_decode_tokens -= serviced
-        self._kv_tokens += serviced + kv_delta
-        forest.commit_aging(selection, survivors, survivors_context)
-        if self.on_iteration_complete is not None:
-            self.on_iteration_complete(self)
-        if len(pool_by_id) <= self.constraints.max_batch_size:
-            # The pool now fits one batch: hand over to the full-pool
-            # coalescing (or plain stepping) via a fresh planning pass.
-            self._rotation_close()
-            return
-        if not self._rot_begin_iteration():
-            self._rotation_close()
-
-    def _rotation_close(self) -> None:
-        """Exit rotation at an iteration boundary and re-plan normally."""
-        self._materialize_rotation(None)
-        self._busy = False
-        self._start_iteration()
-
-    def _materialize_rotation(self, inflight) -> None:
-        """Flatten the forest back into the flat priority view (+ float boosts)."""
-        forest = self._rot_forest
+    def _flatten_forest(self) -> None:
+        """Hand the pool back to the flat priority view (+ float boosts)."""
+        self._token_ready = PriorityOrderedView(self._rot_forest.flatten(self._rot_selection))
         self._rot_forest = None
         self._rot_selection = None
-        self._rot_event = None
-        self._token_ready = PriorityOrderedView(forest.flatten(inflight))
 
     def _rotation_interrupt(self) -> None:
-        """Fall back to per-iteration stepping before a pool transition.
+        """Flatten the forest before a pool transition it cannot absorb.
 
-        The in-flight iteration keeps its already-fixed batch: its stepper
-        event is replaced by a normal finish event at the same boundary (so
-        completions, aging, and withdrawals take the standard code path), and
-        the forest is flattened back into the flat view the standard path
-        maintains.
+        The in-flight iteration keeps its batch and its finish event, which
+        then completes it on the flat path.  The batch is re-read in the
+        rebuilt view's order, which the aging pass's subsequence walk relies
+        on: sibling runs and members admitted since the start may sort
+        among the selected.
         """
         if self._rot_forest is None:
             return
-        selection, plan, prompt_latency = self._rot_selection
-        boundary = self._rot_event.time
-        self.engine.cancel(self._rot_event)
-        self._materialize_rotation(selection)
-        # The token selection is by construction the first `count` members of
-        # the flat view; re-slicing the rebuilt view yields the same set in
-        # exact view order, which the aging pass's subsequence walk relies on
-        # (sibling-run segments may interleave within a level).
-        plan.token_requests = list(self._token_ready[: selection.count])
-        self._running_plan = plan
-        self._finish_plan = plan
-        self._finish_prompt_latency = prompt_latency
+        selection = self._rot_selection
+        self._flatten_forest()
+        if selection is None:
+            return
+        batch = selection.requests()  # the running plan's token list
+        selected = {id(request) for request in batch}
+        batch[:] = [request for request in self._token_ready if id(request) in selected]
+        # The flat aging pass counts the members the forest admitted
+        # mid-iteration among the skipped.
         self._pool_len_at_plan = len(self._pool_by_id)
-        self._admitted_during_iteration = 0
-        self._aging_pending = True
-        self._finish_event = self.engine.schedule_at(
-            boundary, self._on_finish_event, priority=FINISH_EVENT_PRIORITY, tag=self._finish_tag
-        )
 
     def sync_fast_forward(self) -> None:
         """Materialize any coalesced-but-uncommitted iterations up to now.
 
         Cluster drivers call this after a horizon-limited run so that partial
         results match what per-iteration stepping would have produced by the
-        same simulated time.  Rotation bookkeeping is always current at the
-        clock, but its float boosts and flat view are materialized here for
-        post-run readers.  A no-op when nothing is coalesced.
+        same simulated time.  A rotation forest is flattened back so its
+        float boosts and flat view are materialized for post-run readers.
+        A no-op when nothing is coalesced.
         """
         self._ff_sync()
-        # A rotation in flight at a horizon stop is converted to a pending
-        # per-iteration finish — exactly the state per-iteration stepping
-        # leaves behind when the clock stops mid-iteration.
         self._rotation_interrupt()
 
     def interrupt_coalescing(self) -> None:
@@ -1257,39 +1069,51 @@ class SimulatedMachine:
                 on_request_complete(request, self)
 
         pool_by_id = self._pool_by_id
-        generated_count = 0
+        token_requests = plan.token_requests
+        if withdrawn:
+            token_requests = [r for r in token_requests if r.request_id not in withdrawn]
+        generated_count = len(token_requests)
         kv_delta = 0
-        for request in plan.token_requests:
-            if withdrawn and request.request_id in withdrawn:
-                continue
-            if request.phase is _COMPLETED:
+        completed: list[Request] = []
+        running = _TOKEN_RUNNING  # local reads in the per-member loop
+        finished = _COMPLETED
+        for request in token_requests:
+            if request.phase is finished:
                 raise RuntimeError(f"request {request.request_id} already complete")
             request.token_times.append(now)
             generated = request.generated_tokens + 1
             request.generated_tokens = generated
-            generated_count += 1
             if generated < request.output_tokens:
-                request.phase = _TOKEN_RUNNING
-            else:
-                request.phase = _COMPLETED
-                request.completion_time = now
-                del pool_by_id[request.request_id]
-                self._remove_ready(request)
-                kv_delta -= request.prompt_tokens + generated
-                if on_request_complete is not None:
-                    on_request_complete(request, self)
+                request.phase = running
+                continue
+            request.phase = finished
+            request.completion_time = now
+            del pool_by_id[request.request_id]
+            completed.append(request)
+            kv_delta -= request.prompt_tokens + generated
+            if on_request_complete is not None:
+                on_request_complete(request, self)
         if generated_count:
             self.token_log.boundaries += 1
             self._pool_decode_tokens -= generated_count
             self._kv_tokens += generated_count + kv_delta
 
         # Aging: requests left out of this iteration gain priority so that
-        # preemption (on mixed machines) cannot starve them (§IV-B).  The
-        # skipped count is derived O(1) from the pool size at planning time;
-        # in the common fully-batched case there is nothing to age.
-        skipped = self._pool_len_at_plan - len(plan.token_requests) + self._admitted_during_iteration
-        if skipped:
-            self._age_skipped(plan)
+        # preemption (on mixed machines) cannot starve them (§IV-B).  A
+        # rotation forest ages its skipped members (and drops the completers)
+        # in O(batch).  On the flat view the skipped count is derived O(1)
+        # from the pool size at planning time; in the common fully-batched
+        # case there is nothing to age.
+        forest = self._rot_forest
+        if forest is not None:
+            forest.commit_aging(self._rot_selection, completed)
+            self._rot_selection = None
+        else:
+            for request in completed:
+                self._remove_ready(request)
+            skipped = self._pool_len_at_plan - len(plan.token_requests) + self._admitted_during_iteration
+            if skipped:
+                self._age_skipped(plan)
         self._aging_pending = False
         self._admitted_during_iteration = 0
         if self._withdrawn_ids:

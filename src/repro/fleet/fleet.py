@@ -193,7 +193,6 @@ class FleetResult:
         reference_model: PerformanceModel | None = None,
         policies: Mapping[str, SloPolicy] | None = None,
         default_policy: SloPolicy = DEFAULT_SLO,
-        tbt_mode: str = "per-token",
     ) -> TenantSloReport:
         """Per-tenant SLO verdicts plus the fleet-level roll-up."""
         if reference_model is None:
@@ -203,7 +202,6 @@ class FleetResult:
             reference_model,
             policies if policies is not None else self.tenant_policies,
             default_policy,
-            tbt_mode=tbt_mode,
         )
 
     def machine_hours(self) -> float:

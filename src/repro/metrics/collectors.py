@@ -145,7 +145,7 @@ class BatchOccupancyTracker:
 class MachineStats:
     """Aggregated statistics for one simulated machine.
 
-    A slotted dataclass: ``record_iteration`` runs once per simulated
+    A slotted dataclass: :meth:`add_iteration` runs once per simulated
     iteration across the whole cluster, and slot access keeps that hot path
     free of per-instance ``__dict__`` lookups.
 
@@ -183,9 +183,9 @@ class MachineStats:
     ) -> None:
         """Accumulate one executed iteration (the single write point).
 
-        Machines that hold their stats row call this directly on their
-        per-iteration hot path; :meth:`MetricsCollector.record_iteration`
-        delegates here after its name lookup.
+        Machines hold their stats row and call this on every iteration they
+        step individually; coalesced runs go through
+        :meth:`MetricsCollector.record_coalesced`.
         """
         self.busy_time_s += duration_s
         self.energy_wh += energy_wh
@@ -206,24 +206,6 @@ class MetricsCollector:
         self._machines: dict[str, MachineStats] = defaultdict(MachineStats)
         self.token_log = TokenLog()
 
-    def record_iteration(
-        self,
-        machine: str,
-        duration_s: float,
-        active_tokens: int,
-        energy_wh: float = 0.0,
-        prompt_tokens: int = 0,
-        tokens_generated: int = 0,
-    ) -> None:
-        """Record one executed iteration on ``machine``.
-
-        Hot path: callers on the simulator's iteration loop should pass
-        arguments positionally (no keyword-dict churn per call).
-        """
-        self._machines[machine].add_iteration(
-            duration_s, active_tokens, energy_wh, prompt_tokens, tokens_generated
-        )
-
     def record_coalesced(
         self,
         machine: str,
@@ -236,8 +218,8 @@ class MetricsCollector:
         """Record ``count`` coalesced decode iterations in one call.
 
         Equivalent — including float accumulation order — to ``count``
-        successive :meth:`record_iteration` calls with the given per-iteration
-        durations and energies, all at ``active_tokens`` occupancy with
+        successive :meth:`MachineStats.add_iteration` calls with the given
+        per-iteration durations and energies, all at ``active_tokens`` occupancy with
         ``tokens_per_iteration`` tokens generated each.  Used by the decode
         fast-forward engine to commit a macro-iteration without per-iteration
         collector overhead.

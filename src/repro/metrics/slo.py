@@ -199,7 +199,6 @@ def evaluate_slo(
     requests: Iterable[Request],
     reference_model: PerformanceModel,
     policy: SloPolicy = DEFAULT_SLO,
-    tbt_mode: str = "per-token",
 ) -> SloReport:
     """Evaluate the Table VI SLO over a set of completed requests.
 
@@ -209,9 +208,8 @@ def evaluate_slo(
     against the policy.
 
     TBT percentiles follow the paper's Table VI and are taken over the
-    pooled *per-token* inter-token-gap distribution by default — a P99 over
-    per-request means would hide per-token stalls inside long requests.  Set
-    ``tbt_mode="per-request-mean"`` for the coarser legacy definition.
+    pooled *per-token* inter-token-gap distribution — a P99 over
+    per-request means would hide per-token stalls inside long requests.
 
     A metric with no samples (e.g. no request generated a second token, so
     there are no TBT gaps) reports ``nan`` at its percentiles and the report
@@ -222,15 +220,10 @@ def evaluate_slo(
         reference_model: Performance model of the uncontended reference
             machine (the paper uses DGX-A100).
         policy: The SLO percentile limits.
-        tbt_mode: ``"per-token"`` (paper-faithful pooled distribution) or
-            ``"per-request-mean"``.
 
     Raises:
-        ValueError: if no completed requests are supplied, or ``tbt_mode``
-            is unknown.
+        ValueError: if no completed requests are supplied.
     """
-    if tbt_mode not in ("per-token", "per-request-mean"):
-        raise ValueError(f"tbt_mode must be 'per-token' or 'per-request-mean', got {tbt_mode!r}")
     completed = [r for r in requests if r.is_complete]
     if not completed:
         raise ValueError("no completed requests to evaluate against the SLO")
@@ -243,8 +236,6 @@ def evaluate_slo(
     # identical float64 divisions to the old per-gap loop — and the pool is
     # a single concatenation instead of millions of list appends.
     tbt_parts: list[np.ndarray] = []
-    tbt_means: list[float] = []
-    per_token = tbt_mode == "per-token"
     for request in completed:
         ref_ttft = reference_model.ttft(request.prompt_tokens)
         ref_tbt = reference_model.tbt(1, request.prompt_tokens)
@@ -252,19 +243,13 @@ def evaluate_slo(
         if request.ttft is not None and ref_ttft > 0:
             ttft_slowdowns.append(request.ttft / ref_ttft)
         if ref_tbt > 0:
-            if per_token:
-                gaps = request.token_intervals_np
-                if gaps.size:
-                    tbt_parts.append(gaps / ref_tbt)
-            elif request.mean_tbt is not None:
-                tbt_means.append(request.mean_tbt / ref_tbt)
+            gaps = request.token_intervals_np
+            if gaps.size:
+                tbt_parts.append(gaps / ref_tbt)
         if request.e2e_latency is not None and ref_e2e > 0:
             e2e_slowdowns.append(request.e2e_latency / ref_e2e)
 
-    if per_token:
-        tbt_pool = np.concatenate(tbt_parts) if tbt_parts else np.empty(0, dtype=np.float64)
-    else:
-        tbt_pool = np.asarray(tbt_means, dtype=np.float64)
+    tbt_pool = np.concatenate(tbt_parts) if tbt_parts else np.empty(0, dtype=np.float64)
     series: dict[str, np.ndarray] = {
         "ttft": np.asarray(ttft_slowdowns, dtype=np.float64),
         "tbt": tbt_pool,
@@ -284,7 +269,6 @@ def evaluate_slo_by_tenant(
     policies: Mapping[str, SloPolicy] | None = None,
     default_policy: SloPolicy = DEFAULT_SLO,
     fleet_policy: SloPolicy | None = None,
-    tbt_mode: str = "per-token",
 ) -> TenantSloReport:
     """Evaluate the SLO separately for every tenant, plus a fleet roll-up.
 
@@ -309,7 +293,6 @@ def evaluate_slo_by_tenant(
         default_policy: Policy for tenants without an explicit entry.
         fleet_policy: Policy for the roll-up over all requests (defaults to
             ``default_policy``).
-        tbt_mode: See :func:`evaluate_slo`.
     """
     policies = policies or {}
     all_requests = list(requests)
@@ -333,14 +316,14 @@ def evaluate_slo_by_tenant(
         if expired:
             expired_by_tenant[tenant] = expired
         if completed:
-            reports[tenant] = evaluate_slo(group, reference_model, policy, tbt_mode=tbt_mode)
+            reports[tenant] = evaluate_slo(group, reference_model, policy)
         else:
             reports[tenant] = empty_slo_report(policy)
 
     roll_up_policy = fleet_policy or default_policy
     fleet_completed = sum(1 for r in all_requests if r.is_complete)
     if fleet_completed:
-        fleet = evaluate_slo(all_requests, reference_model, roll_up_policy, tbt_mode=tbt_mode)
+        fleet = evaluate_slo(all_requests, reference_model, roll_up_policy)
     else:
         fleet = empty_slo_report(roll_up_policy)
     fleet_goodput = fleet_completed / len(all_requests) if all_requests else float("nan")

@@ -3,8 +3,8 @@
 Token times themselves are recorded on each request
 (:attr:`~repro.simulation.request.Request.token_times`); the log only counts
 the per-iteration boundaries that produced decode tokens, one per
-``SimulatedMachine._finish_iteration`` or rotation step that serviced at
-least one token request.  Coalesced fast-forward iterations are not counted.
+``SimulatedMachine._finish_iteration`` that serviced at least one token
+request.  Coalesced fast-forward iterations are not counted.
 """
 
 from __future__ import annotations

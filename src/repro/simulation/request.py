@@ -196,9 +196,8 @@ class Request:
     def generate_token(self, time: float) -> None:
         """Record one generated token in the token phase.
 
-        NOTE: ``SimulatedMachine._finish_iteration`` and
-        ``SimulatedMachine._on_rotation_step`` inline this state transition
-        on their per-token hot loops; keep the three in sync.
+        NOTE: ``SimulatedMachine._finish_iteration`` inlines this state
+        transition on its per-token hot loop; keep the two in sync.
         """
         if self.phase is RequestPhase.COMPLETED:
             raise RuntimeError(f"request {self.request_id} already complete")

@@ -19,8 +19,13 @@ from hypothesis import strategies as st
 
 from repro.core.cluster import ClusterSimulation
 from repro.core.designs import baseline_h100, splitwise_hh
+from repro.core.machine import MachineRole, SimulatedMachine
+from repro.hardware.machine import DGX_H100
+from repro.models.llm import LLAMA2_70B
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.request import Request
 from repro.workload.generator import generate_trace
+from repro.workload.trace import RequestDescriptor
 
 
 def _enable_debug_accounting(simulation: ClusterSimulation) -> None:
@@ -170,3 +175,64 @@ class TestFastForwardParity:
         coalesced = _run_simulation(baseline_h100(3), trace, (), fast_forward=True)
         _assert_bit_identical(reference, coalesced)
         assert sum(machine.rotation_runs for machine in coalesced[0].machines) > 0
+
+
+def _rotation_under_interrupts(seed: int, fast_forward: bool) -> list[Request]:
+    """One oversubscribed token machine under seeded admissions and withdrawals.
+
+    Arrivals are drawn over a wider window than the admissions, so many
+    newcomers sort before members already in the pool, including members of
+    the batch in flight.  Every event is followed by a full recount.
+    """
+    rng = random.Random(seed)
+    engine = SimulationEngine()
+    machine = SimulatedMachine(
+        "t0", DGX_H100, LLAMA2_70B, engine, role=MachineRole.TOKEN,
+        max_batch_size=4, fast_forward=fast_forward,
+    )
+    requests: list[Request] = []
+
+    def decoding() -> Request:
+        request = Request(
+            descriptor=RequestDescriptor(
+                request_id=len(requests),
+                arrival_time_s=rng.uniform(0.0, 1.0),
+                prompt_tokens=rng.randrange(50, 500),
+                output_tokens=rng.randrange(2, 24),
+            )
+        )
+        request.start_prompt(0.0, "p")
+        request.finish_prompt(0.0)
+        requests.append(request)
+        return request
+
+    for _ in range(rng.randint(5, 9)):
+        machine.admit_token_request(decoding())
+    for _ in range(rng.randint(4, 14)):
+        engine.schedule_at(rng.uniform(0.0, 0.5), lambda r=decoding(): machine.admit_token_request(r))
+    for _ in range(rng.randint(1, 6)):
+        engine.schedule_at(rng.uniform(0.0, 0.5), lambda r=rng.choice(requests): machine.withdraw(r))
+    while engine.step():
+        machine.verify_accounting()
+    return requests
+
+
+class TestRotationInterruptParity:
+    """Admissions and withdrawals landing mid-rotation keep the exact order.
+
+    The forest must absorb an admission that sorts inside the batch in
+    flight, and a withdrawal must hand that batch back to the flat view in
+    view order, so that the pool stays in priority order at every event and
+    the results equal the per-iteration reference's.
+    """
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_interrupted_rotation_matches_reference(self, seed):
+        reference = _rotation_under_interrupts(seed, fast_forward=False)
+        rotated = _rotation_under_interrupts(seed, fast_forward=True)
+        for ref, rot in zip(reference, rotated, strict=True):
+            assert list(ref.token_times) == list(rot.token_times)
+            assert ref.generated_tokens == rot.generated_tokens
+            assert ref.priority_boost == rot.priority_boost
+            assert ref.phase is rot.phase

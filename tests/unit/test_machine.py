@@ -395,6 +395,43 @@ class TestDecodeFastForward:
         assert per_request[0] == per_request[1]
         assert rotations > 0
 
+    def test_admission_inside_inflight_split_keeps_flat_order(self):
+        """A newcomer sorting inside the in-flight extraction stays in view order.
+
+        Six members rotate through four slots, so the first iteration
+        extracts ids 1-4 from the one level.  Request 99 then arrives with
+        an ``(arrival, id)`` between ids 2 and 3, a withdrawal flattens the
+        forest mid-iteration, and request 98 lands in the rebuilt flat view.
+        """
+        series = []
+        for fast_forward in (False, True):
+            engine = SimulationEngine()
+            machine = SimulatedMachine(
+                "t0", DGX_H100, LLAMA2_70B, engine, role=MachineRole.TOKEN,
+                max_batch_size=4, fast_forward=fast_forward,
+            )
+            requests = {}
+            for request_id in (1, 2, 3, 4, 5, 6, 99, 98):
+                arrival = {99: 0.025, 98: 0.035}.get(request_id, 0.01 * request_id)
+                request = _request(request_id, prompt=200, output=12, arrival=arrival)
+                request.start_prompt(0.0, "p")
+                request.finish_prompt(0.0)
+                requests[request_id] = request
+            for request_id in range(1, 7):
+                machine.admit_token_request(requests[request_id])
+
+            def admit_and_verify(m=machine, r=requests[99]):
+                m.admit_token_request(r)
+                m.verify_accounting()
+
+            engine.schedule_at(0.001, admit_and_verify)
+            engine.schedule_at(0.002, lambda m=machine, r=requests[6]: m.withdraw(r))
+            engine.schedule_at(0.003, lambda m=machine, r=requests[98]: m.admit_token_request(r))
+            engine.run()
+            machine.verify_accounting()
+            series.append({request_id: list(r.token_times) for request_id, r in requests.items()})
+        assert series[0] == series[1]
+
     def test_withdraw_mid_fast_forward_matches_reference(self):
         outputs = [12, 16, 20]
         snapshots = []

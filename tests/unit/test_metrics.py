@@ -108,9 +108,10 @@ class TestBatchOccupancyTracker:
 class TestMetricsCollector:
     def test_per_machine_accumulation(self):
         collector = MetricsCollector()
-        collector.record_iteration("m0", duration_s=0.1, active_tokens=100, energy_wh=0.5, prompt_tokens=100)
-        collector.record_iteration("m0", duration_s=0.2, active_tokens=4, energy_wh=0.2, tokens_generated=4)
-        collector.record_iteration("m1", duration_s=0.3, active_tokens=1, energy_wh=0.1)
+        m0, m1 = collector.machine_stats("m0"), collector.machine_stats("m1")
+        m0.add_iteration(duration_s=0.1, active_tokens=100, energy_wh=0.5, prompt_tokens=100, tokens_generated=0)
+        m0.add_iteration(duration_s=0.2, active_tokens=4, energy_wh=0.2, prompt_tokens=0, tokens_generated=4)
+        m1.add_iteration(duration_s=0.3, active_tokens=1, energy_wh=0.1, prompt_tokens=0, tokens_generated=0)
         stats = collector.machine_stats("m0")
         assert stats.busy_time_s == pytest.approx(0.3)
         assert stats.iterations == 2
@@ -121,21 +122,21 @@ class TestMetricsCollector:
 
     def test_utilization(self):
         collector = MetricsCollector()
-        collector.record_iteration("m0", duration_s=5.0, active_tokens=1)
+        collector.machine_stats("m0").add_iteration(5.0, 1, 0.0, 0, 0)
         assert collector.machine_stats("m0").utilization(10.0) == pytest.approx(0.5)
         assert collector.mean_utilization(10.0) == pytest.approx(0.5)
         assert collector.mean_utilization(10.0, ["m0", "missing"]) == pytest.approx(0.25)
 
     def test_group_occupancy_merges(self):
         collector = MetricsCollector()
-        collector.record_iteration("a", duration_s=1.0, active_tokens=1)
-        collector.record_iteration("b", duration_s=1.0, active_tokens=100)
+        collector.machine_stats("a").add_iteration(1.0, 1, 0.0, 0, 0)
+        collector.machine_stats("b").add_iteration(1.0, 100, 0.0, 0, 0)
         merged = collector.group_occupancy(["a", "b"])
         assert merged.fraction_at_or_below(1) == pytest.approx(0.5)
 
     def test_as_dict(self):
         collector = MetricsCollector()
-        collector.record_iteration("m0", duration_s=1.0, active_tokens=1, energy_wh=1.0)
+        collector.machine_stats("m0").add_iteration(1.0, 1, 1.0, 0, 0)
         report = collector.as_dict(horizon_s=2.0)
         assert report["m0"]["utilization"] == pytest.approx(0.5)
         assert report["m0"]["energy_wh"] == pytest.approx(1.0)
@@ -211,9 +212,9 @@ class TestSlo:
         # Per-token pooling: 9 gaps per 10-token request.
         assert report.samples["tbt"] == 4 * 9
 
-    def test_per_token_mode_catches_stalls_mean_mode_hides(self, make_request):
-        """A single long stall inside an otherwise-fast request must show up
-        in the paper-faithful per-token P99 but can hide in per-request means."""
+    def test_per_token_tbt_catches_stalls(self, make_request):
+        """A few long stalls inside otherwise-fast requests must show up in the
+        paper-faithful per-token TBT P99 (per-request means would hide them)."""
         reference = AnalyticalPerformanceModel(LLAMA2_70B, DGX_A100)
         prompt, output = 1000, 101
         ref_tbt = reference.tbt(1, prompt)
@@ -230,26 +231,18 @@ class TestSlo:
                 time += ref_tbt * (40.0 if i in (25, 50, 75) else 1.0)
                 request.generate_token(time)
             requests.append(request)
-        per_token = evaluate_slo(requests, reference, tbt_mode="per-token")
-        per_mean = evaluate_slo(requests, reference, tbt_mode="per-request-mean")
+        per_token = evaluate_slo(requests, reference)
         assert ("tbt", 99.0) in per_token.violations()
-        assert ("tbt", 99.0) not in per_mean.violations()
-
-    def test_unknown_tbt_mode_rejected(self, make_request):
-        reference = AnalyticalPerformanceModel(LLAMA2_70B, DGX_A100)
-        requests = [self._request_with_slowdown(make_request, reference, 1.0)]
-        with pytest.raises(ValueError, match="tbt_mode"):
-            evaluate_slo(requests, reference, tbt_mode="median")
 
 
 class TestCoalescedRecording:
-    def test_record_coalesced_equals_sequential_record_iteration(self):
+    def test_record_coalesced_equals_sequential_add_iteration(self):
         """Bulk recording must match per-iteration recording bit for bit."""
         durations = [0.0301, 0.0302, 0.0303, 0.0304]
         energies = [0.011, 0.012, 0.013, 0.014]
         sequential = MetricsCollector()
         for duration, energy in zip(durations, energies):
-            sequential.record_iteration("m0", duration, 48, energy, 0, 48)
+            sequential.machine_stats("m0").add_iteration(duration, 48, energy, 0, 48)
         bulk = MetricsCollector()
         bulk.record_coalesced("m0", len(durations), 48, durations, energies, 48)
         a = sequential.machine_stats("m0")

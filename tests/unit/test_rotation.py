@@ -27,19 +27,18 @@ def _request(request_id: int, arrival: float, boost: float = 0.0, prompt: int = 
     return request
 
 
-def _service(selection) -> None:
-    """One decode service with no completions, plus the stepper's cache upkeep.
+def _service(selection) -> list[Request]:
+    """One decode service: every selected member generates one token.
 
-    Every selected member generates one token, so each levelled run and its
-    level grow their cached context by one per member.  The split
-    extraction is not levelled yet: ``commit_aging`` accounts its survivors.
+    Returns the members it completed.  The forest's own context caches are
+    left to ``commit_aging``.
     """
-    for level, run, members in selection.segments:
-        for request in members:
-            request.generated_tokens += 1
-        if level is not None:
-            run.context += len(members)
-            level.context += len(members)
+    completed = []
+    for request in selection.requests():
+        request.generated_tokens += 1
+        if request.generated_tokens >= request.output_tokens:
+            completed.append(request)
+    return completed
 
 
 def _ordered_pool(count: int, rng: random.Random) -> list[Request]:
@@ -97,10 +96,7 @@ class TestRotationForest:
             for request_id in mirror:
                 if request_id not in selected_ids:
                     mirror[request_id] += 1.0
-            _service(selection)
-            survivors = selection.extracted
-            survivors_context = selection.extracted_context + len(survivors)
-            forest.commit_aging(selection, survivors, survivors_context)
+            forest.commit_aging(selection, _service(selection))
         flat = forest.flatten()
         assert [r.request_id for r in flat] == [
             r.request_id for r in sorted(flat, key=priority_key)
@@ -136,8 +132,50 @@ class TestRotationForest:
             assert selection.context == sum(
                 r.prompt_tokens + r.generated_tokens for r in expected[:7]
             )
-            _service(selection)
-            survivors = selection.extracted
-            forest.commit_aging(
-                selection, survivors, selection.extracted_context + len(survivors)
-            )
+            forest.commit_aging(selection, _service(selection))
+
+    def test_commit_aging_drops_completers_and_keeps_caches(self):
+        """Completers leave with their served boost; every cache matches a recount."""
+        rng = random.Random(7)
+        pool = [
+            _request(i, arrival=rng.random() * 10.0, boost=float(rng.randrange(4)), output=rng.randrange(1, 6))
+            for i in range(40)
+        ]
+        pool.sort(key=priority_key)
+        forest = RotationForest.from_ordered_view(pool)
+        finished = []
+        for _ in range(30):
+            served_boost = {}
+            for request in forest.flatten():
+                served_boost[id(request)] = request.priority_boost
+                # Only commit_aging's write-back may restore a completer's boost.
+                request.priority_boost = -1.0
+            selection = forest.select(6, 10**9)
+            if selection is None or not selection.requests():
+                break
+            completed = _service(selection)
+            forest.commit_aging(selection, completed)
+            finished.extend(completed)
+            for request in completed:
+                assert request.priority_boost == served_boost[id(request)]
+            flat = forest.flatten()
+            assert not {id(r) for r in flat} & {id(r) for r in finished}
+            assert [priority_key(r) for r in flat] == sorted(priority_key(r) for r in flat)
+            for level in forest.levels:
+                live = [r for run in level.runs for r in run.live()]
+                assert level.size == len(live)
+                assert level.context == sum(r.prompt_tokens + r.generated_tokens for r in live)
+                for run in level.runs:
+                    assert run.context == sum(r.prompt_tokens + r.generated_tokens for r in run.live())
+        assert finished, "the schedule should complete some members"
+
+    def test_flatten_merges_inflight_extraction_with_newcomers(self):
+        """A newcomer sorting inside the in-flight extraction keeps the view ordered."""
+        pool = [_request(i, arrival=0.01 * i) for i in range(1, 7)]
+        forest = RotationForest.from_ordered_view(pool)
+        selection = forest.select(4, 10**9)
+        assert [r.request_id for r in selection.requests()] == [1, 2, 3, 4]
+        forest.insert(_request(99, arrival=0.025))
+        flat = forest.flatten(selection)
+        assert [priority_key(r) for r in flat] == sorted(priority_key(r) for r in flat)
+        assert [r.request_id for r in flat] == [1, 2, 99, 3, 4, 5, 6]

@@ -1,10 +1,10 @@
 """Unit tests for per-request token recording and the cluster boundary counter.
 
 Each stepping path of :class:`~repro.core.machine.SimulatedMachine` writes
-token times straight onto the request: the per-iteration finish loop, the
-fast-forward commit, and the rotation stepper.  The machine-level tests here
-drive one path each and check the series as it is written, not only the
-final values (the cluster-level parity lives in
+token times straight onto the request: the per-iteration finish loop (whose
+batches a rotation forest may order) and the fast-forward commit.  The
+machine-level tests here drive one regime each and check the series as it
+is written, not only the final values (the cluster-level parity lives in
 ``tests/property/test_token_log_parity.py``).
 """
 
