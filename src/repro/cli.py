@@ -44,7 +44,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.core.cluster import simulate_design
-from repro.core.designs import get_design_family
+from repro.core.designs import DESIGN_FAMILIES, build_design
 from repro.core.provisioning import OptimizationGoal, Provisioner, estimate_pool_sizes
 from repro.faults.presets import CHAOS_PRESETS
 from repro.fleet.router import ROUTER_POLICIES
@@ -52,16 +52,6 @@ from repro.models.llm import get_model
 from repro.workload.generator import generate_trace
 from repro.workload.scenarios import SCENARIO_PRESETS, get_scenario
 from repro.workload.trace import Trace
-
-_DESIGN_FAMILIES = (
-    "Baseline-A100",
-    "Baseline-H100",
-    "Splitwise-AA",
-    "Splitwise-HH",
-    "Splitwise-HA",
-    "Splitwise-HHcap",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the ``repro-sim`` entry point."""
@@ -76,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("-o", "--output", required=True, help="CSV file to write")
 
     simulate = subparsers.add_parser("simulate", help="simulate a cluster design on a trace")
-    simulate.add_argument("--design", choices=_DESIGN_FAMILIES, default="Splitwise-HH")
+    simulate.add_argument("--design", choices=DESIGN_FAMILIES, default="Splitwise-HH")
     simulate.add_argument("--prompt", type=int, default=2, help="prompt machines (or total for baselines)")
-    simulate.add_argument("--token", type=int, default=1, help="token machines (ignored for baselines)")
+    simulate.add_argument("--token", type=int, default=1, help="token machines (added to --prompt for baselines)")
     simulate.add_argument("--model", default="Llama2-70B", help="LLM to serve")
     simulate.add_argument("--trace", help="CSV trace to replay (generated if omitted)")
     simulate.add_argument("--workload", choices=("coding", "conversation"), default="conversation")
@@ -198,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     provision = subparsers.add_parser("provision", help="search machine counts for a target load")
-    provision.add_argument("--design", choices=_DESIGN_FAMILIES, default="Splitwise-HH")
+    provision.add_argument("--design", choices=DESIGN_FAMILIES, default="Splitwise-HH")
     provision.add_argument("--workload", choices=("coding", "conversation"), default="coding")
     provision.add_argument("--rate", type=float, required=True, help="target requests per second")
     provision.add_argument("--goal", choices=("cost", "power"), default="cost")
@@ -210,23 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     designs.add_argument("--prompt", type=int, default=2)
     designs.add_argument("--token", type=int, default=1)
 
-    lint = subparsers.add_parser(
-        "lint", help="run simlint, the determinism & simulation-invariant linter"
+    # Every argument after ``lint`` goes to simlint's own parser unparsed
+    # (see main), so ``repro-sim lint --help`` prints simlint's flags.
+    subparsers.add_parser(
+        "lint", add_help=False,
+        help="run simlint, the determinism & simulation-invariant linter "
+             "(takes simlint's arguments)",
     )
-    lint.add_argument("paths", nargs="*", default=["src"], help="files/directories to lint")
-    lint.add_argument("--json", action="store_true", help="emit machine-readable JSON findings")
-    lint.add_argument("--baseline", default=None, metavar="FILE", help="baseline file to apply")
-    lint.add_argument("--no-baseline", action="store_true", help="ignore any baseline file")
-    lint.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="accept every current finding into FILE and exit 0",
-    )
-    lint.add_argument(
-        "--strict-baseline", action="store_true",
-        help="fail when the baseline has stale entries",
-    )
-    lint.add_argument("--list-rules", action="store_true", help="print the rule catalog and exit")
-
     return parser
 
 
@@ -249,13 +229,6 @@ def _parse_failures(values: Sequence[str]) -> tuple[tuple[float, str], ...]:
     return tuple(failures)
 
 
-def _build_design(family: str, prompt: int, token: int):
-    factory = get_design_family(family)
-    if family.startswith("Baseline"):
-        return factory(prompt + token if token else prompt)
-    return factory(prompt, token)
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     trace = generate_trace(args.workload, rate_rps=args.rate, duration_s=args.duration, seed=args.seed)
     path = trace.to_csv(args.output)
@@ -264,7 +237,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    design = _build_design(args.design, args.prompt, args.token)
+    from repro.experiments.scenarios import cluster_run_summary
+
+    design = build_design(args.design, args.prompt, args.token)
     model = get_model(args.model)
     notes = []
     if args.trace:
@@ -300,31 +275,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # validation) failure injections naming machines the design lacks.
         print(f"error: {error}", file=sys.stderr)
         return 1
-    metrics = result.request_metrics()
-    slo = result.slo_report(model=model)
     summary = {
-        "design": design.label,
         "model": model.name,
         "seed": args.seed,
         "workload": None if args.trace else args.workload,
         "trace": trace.name,
         "requests": len(trace),
-        "completion_rate": round(result.completion_rate, 4),
-        "throughput_rps": round(metrics.throughput_rps, 3),
-        "ttft_p50_ms": round(metrics.ttft.p50 * 1e3, 1),
-        "ttft_p90_ms": round(metrics.ttft.p90 * 1e3, 1),
-        "tbt_p50_ms": round(metrics.tbt.p50 * 1e3, 1),
-        "tbt_p90_ms": round(metrics.tbt.p90 * 1e3, 1),
-        "e2e_p50_s": round(metrics.e2e.p50, 2),
-        "e2e_p90_s": round(metrics.e2e.p90, 2),
-        "energy_wh": round(result.total_energy_wh(), 1),
-        "cost_per_hour": round(design.cost_per_hour, 1),
-        "power_kw": round(design.provisioned_power_kw, 2),
-        "slo_satisfied": slo.satisfied,
+        **cluster_run_summary(result, result.slo_report(model=model)),
     }
     if failures:
         summary["failures"] = [f"{t:g}:{name}" for t, name in failures]
-        summary["restarted_requests"] = sum(1 for r in result.requests if r.restarts)
     if notes:
         summary["notes"] = notes
     if args.json:
@@ -333,32 +293,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         width = max(len(key) for key in summary)
         for key, value in summary.items():
             print(f"{key:<{width}}  {value}")
-    return 0 if slo.satisfied else 2
-
-
-def _scenario_run_summary(result, slo) -> dict:
-    """One run's JSON summary for the ``scenario`` subcommand."""
-    metrics = result.request_metrics()
-    summary = {
-        "completion_rate": round(result.completion_rate, 4),
-        "throughput_rps": round(metrics.throughput_rps, 3),
-        "ttft_p90_ms": round(metrics.ttft.p90 * 1e3, 1),
-        "tbt_p90_ms": round(metrics.tbt.p90 * 1e3, 1),
-        "e2e_p90_s": round(metrics.e2e.p90, 2),
-        "slo_satisfied": slo.satisfied,
-        "slo_violations": len(slo.violations()),
-        "slo_samples": dict(slo.samples),
-        "machine_hours": round(result.machine_hours(), 3),
-        "pool_switches": result.scheduler.pool_switches,
-    }
-    if result.autoscaler is not None:
-        summary["repurposes"] = result.autoscaler.repurpose_count()
-        summary["autoscaler_actions"] = len(result.autoscaler.timeline)
-    return summary
+    return 0 if summary["slo_satisfied"] else 2
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.experiments.scenarios import prepare_scenario_run
+    from repro.experiments.scenarios import cluster_run_summary, prepare_scenario_run
 
     preset = get_scenario(args.preset)
     model = get_model(args.model)
@@ -366,7 +305,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         preset, seed=args.seed, scale=args.scale, autoscaled=False, model=model
     )
     static_result = static_sim.run(trace, failures=failures)
-    static_slo = static_result.slo_report(model=model)
     payload = {
         "preset": preset.name,
         "description": preset.description,
@@ -380,10 +318,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         "requests": len(trace),
         "duration_s": round(preset.duration_s, 1),
         "design": static_sim.design.label,
-        "static": _scenario_run_summary(static_result, static_slo),
+        "static": cluster_run_summary(static_result, static_result.slo_report(model=model)),
     }
 
-    exit_slo = static_slo
     if not args.no_autoscaler:
         auto_sim, trace, failures = prepare_scenario_run(
             preset, seed=args.seed, scale=args.scale, autoscaled=True, model=model
@@ -391,14 +328,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         if args.interval is not None:
             auto_sim.autoscaler.config = replace(auto_sim.autoscaler.config, interval_s=args.interval)
         auto_result = auto_sim.run(trace, failures=failures)
-        auto_slo = auto_result.slo_report(model=model)
-        payload["autoscaled"] = _scenario_run_summary(auto_result, auto_slo)
+        payload["autoscaled"] = cluster_run_summary(auto_result, auto_result.slo_report(model=model))
         payload["machine_hours_saved"] = round(
             payload["static"]["machine_hours"] - payload["autoscaled"]["machine_hours"], 3
         )
         if args.timeline or args.json:
             payload["timeline"] = auto_result.autoscaler.timeline_as_dicts()
-        exit_slo = auto_slo
 
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -429,7 +364,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                     f"    t={event['time_s']:>8.2f}s {event['action']:<9} {event['machine']:<10} "
                     f"{event['from']}->{event['to']}  ({event['reason']})"
                 )
-    return 0 if exit_slo.satisfied else 2
+    # The autoscaled run, when there is one, decides the exit code.
+    return 0 if payload.get("autoscaled", payload["static"])["slo_satisfied"] else 2
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -614,7 +550,7 @@ def _cmd_provision(args: argparse.Namespace) -> int:
     prompt_counts = range(max(1, estimate_prompt - args.spread), estimate_prompt + args.spread + 1)
     token_counts = (
         range(max(1, estimate_token - args.spread), estimate_token + args.spread + 1)
-        if not args.design.startswith("Baseline")
+        if estimate_token
         else (0,)
     )
     goal = OptimizationGoal.COST if args.goal == "cost" else OptimizationGoal.POWER
@@ -639,32 +575,11 @@ def _cmd_provision(args: argparse.Namespace) -> int:
 
 def _cmd_designs(args: argparse.Namespace) -> int:
     print(f"{'family':<18}{'machines':>10}{'$/hr':>10}{'kW':>8}")
-    for family in _DESIGN_FAMILIES:
-        design = _build_design(family, args.prompt, args.token)
+    for family in DESIGN_FAMILIES:
+        design = build_design(family, args.prompt, args.token)
         print(f"{family:<18}{design.num_machines:>10}{design.cost_per_hour:>10.1f}"
               f"{design.provisioned_power_kw:>8.2f}")
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    # Imported lazily: linting is dev tooling, simulation runs must not pay
-    # for (or depend on) the analysis package.
-    from repro.analysis import simlint
-
-    argv = list(args.paths)
-    if args.json:
-        argv.append("--json")
-    if args.baseline:
-        argv.extend(["--baseline", args.baseline])
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.write_baseline:
-        argv.extend(["--write-baseline", args.write_baseline])
-    if args.strict_baseline:
-        argv.append("--strict-baseline")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return simlint.main(argv)
 
 
 _COMMANDS = {
@@ -674,14 +589,21 @@ _COMMANDS = {
     "fleet": _cmd_fleet,
     "provision": _cmd_provision,
     "designs": _cmd_designs,
-    "lint": _cmd_lint,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        # Imported lazily: linting is dev tooling, simulation runs must not pay
+        # for (or depend on) the analysis package.
+        from repro.analysis import simlint
+
+        return simlint.main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return _COMMANDS[args.command](args)
 
 

@@ -223,62 +223,38 @@ class ClusterSimulation:
         )
 
     def _build_machines(self, max_prompt_batch_tokens: int, max_batch_size: int) -> list[SimulatedMachine]:
-        machines: list[SimulatedMachine] = []
         design = self.design
         prefix = f"{self.name}/" if self.name else ""
         if design.split:
-            prompt_link = infiniband_for(
-                design.prompt_machine.interconnect_gbps, design.token_machine.interconnect_gbps
+            # Every prompt machine shares one transfer model over the
+            # prompt-to-token link.
+            link = infiniband_for(design.prompt_machine.interconnect_gbps, design.token_machine.interconnect_gbps)
+            pools = (
+                ("prompt", MachineRole.PROMPT, design.prompt_machine, design.num_prompt,
+                 KVTransferModel(model=self.model, link=link)),
+                ("token", MachineRole.TOKEN, design.token_machine, design.num_token, None),
             )
-            prompt_transfer = KVTransferModel(model=self.model, link=prompt_link)
-            for index in range(design.num_prompt):
-                machines.append(
-                    SimulatedMachine(
-                        name=f"{prefix}prompt-{index}",
-                        spec=design.prompt_machine,
-                        model=self.model,
-                        engine=self.engine,
-                        role=MachineRole.PROMPT,
-                        policy=make_policy(self.batching),
-                        metrics=self.metrics,
-                        kv_transfer=prompt_transfer,
-                        max_prompt_batch_tokens=max_prompt_batch_tokens,
-                        max_batch_size=max_batch_size,
-                        fast_forward=self.fast_forward,
-                    )
-                )
-            for index in range(design.num_token):
-                machines.append(
-                    SimulatedMachine(
-                        name=f"{prefix}token-{index}",
-                        spec=design.token_machine,
-                        model=self.model,
-                        engine=self.engine,
-                        role=MachineRole.TOKEN,
-                        policy=make_policy(self.batching),
-                        metrics=self.metrics,
-                        max_prompt_batch_tokens=max_prompt_batch_tokens,
-                        max_batch_size=max_batch_size,
-                        fast_forward=self.fast_forward,
-                    )
-                )
         else:
-            for index in range(design.num_prompt):
-                machines.append(
-                    SimulatedMachine(
-                        name=f"{prefix}machine-{index}",
-                        spec=design.prompt_machine,
-                        model=self.model,
-                        engine=self.engine,
-                        role=MachineRole.MIXED,
-                        policy=make_policy(self.batching),
-                        metrics=self.metrics,
-                        max_prompt_batch_tokens=max_prompt_batch_tokens,
-                        max_batch_size=max_batch_size,
-                        fast_forward=self.fast_forward,
-                    )
-                )
-        return machines
+            pools = (("machine", MachineRole.MIXED, design.prompt_machine, design.num_prompt, None),)
+        return [
+            SimulatedMachine(
+                name=f"{prefix}{stem}-{index}",
+                spec=spec,
+                model=self.model,
+                engine=self.engine,
+                role=role,
+                # A fresh policy per machine: request-level batching keeps
+                # per-machine state.
+                policy=make_policy(self.batching),
+                metrics=self.metrics,
+                kv_transfer=kv_transfer,
+                max_prompt_batch_tokens=max_prompt_batch_tokens,
+                max_batch_size=max_batch_size,
+                fast_forward=self.fast_forward,
+            )
+            for stem, role, spec, count, kv_transfer in pools
+            for index in range(count)
+        ]
 
     def run(
         self,

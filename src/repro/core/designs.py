@@ -164,14 +164,20 @@ def splitwise_ha(num_prompt: int, num_token: int) -> ClusterDesign:
     )
 
 
+#: Design family name -> factory, in the order the CLI lists them.
 _FAMILIES: dict[str, Callable[..., ClusterDesign]] = {
-    "BASELINE-A100": baseline_a100,
-    "BASELINE-H100": baseline_h100,
-    "SPLITWISE-AA": splitwise_aa,
-    "SPLITWISE-HH": splitwise_hh,
-    "SPLITWISE-HHCAP": splitwise_hhcap,
-    "SPLITWISE-HA": splitwise_ha,
+    "Baseline-A100": baseline_a100,
+    "Baseline-H100": baseline_h100,
+    "Splitwise-AA": splitwise_aa,
+    "Splitwise-HH": splitwise_hh,
+    "Splitwise-HA": splitwise_ha,
+    "Splitwise-HHcap": splitwise_hhcap,
 }
+
+#: The family names :func:`get_design_family` and :func:`build_design` accept.
+DESIGN_FAMILIES = tuple(_FAMILIES)
+
+_BY_KEY = {name.upper(): factory for name, factory in _FAMILIES.items()}
 
 
 def get_design_family(name: str) -> Callable[..., ClusterDesign]:
@@ -183,8 +189,23 @@ def get_design_family(name: str) -> Callable[..., ClusterDesign]:
     Raises:
         KeyError: if the family is unknown.
     """
-    key = name.upper()
-    if key not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES))
+    factory = _BY_KEY.get(name.upper())
+    if factory is None:
+        known = ", ".join(DESIGN_FAMILIES)
         raise KeyError(f"Unknown design family {name!r}; known families: {known}")
-    return _FAMILIES[key]
+    return factory
+
+
+def build_design(family: str, num_prompt: int, num_token: int = 0) -> ClusterDesign:
+    """Size a design family by name (case-insensitive).
+
+    A Splitwise family gets its prompt and token pools as given; a baseline
+    runs mixed batching on one pool of ``num_prompt + num_token`` machines.
+
+    Raises:
+        KeyError: if the family is unknown.
+    """
+    factory = get_design_family(family)
+    if factory in (baseline_a100, baseline_h100):
+        return factory(num_prompt + num_token)
+    return factory(num_prompt, num_token)

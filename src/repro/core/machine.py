@@ -71,7 +71,7 @@ from repro.hardware.machine import MachineSpec
 from repro.metrics.collectors import MetricsCollector
 from repro.models.llm import ModelSpec
 from repro.models.memory import MemoryModel
-from repro.models.performance import AnalyticalPerformanceModel, PerformanceModel
+from repro.models.performance import AnalyticalPerformanceModel
 from repro.models.power import PowerModel
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import FINISH_EVENT_PRIORITY, START_EVENT_PRIORITY
@@ -111,8 +111,6 @@ class SimulatedMachine:
         role: Initial (and home) pool identity.
         policy: Batching policy; defaults to mixed continuous batching, the
             paper's choice for both baselines and Splitwise machines.
-        performance_model: Latency model; defaults to the calibrated
-            analytical model for (model, spec).
         metrics: Cluster metrics collector to report iterations into.
         kv_transfer: Transfer model used to account for per-layer transfer
             interference on the prompt computation (set on Splitwise prompt
@@ -138,7 +136,6 @@ class SimulatedMachine:
         engine: SimulationEngine,
         role: MachineRole = MachineRole.MIXED,
         policy: BatchingPolicy | None = None,
-        performance_model: PerformanceModel | None = None,
         metrics: MetricsCollector | None = None,
         kv_transfer: KVTransferModel | None = None,
         max_prompt_batch_tokens: int = DEFAULT_MAX_PROMPT_TOKENS,
@@ -153,7 +150,7 @@ class SimulatedMachine:
         self.home_role = role
         self.role = role
         self.policy = policy or MixedContinuousBatching()
-        self.performance = performance_model or AnalyticalPerformanceModel(model, spec)
+        self.performance = AnalyticalPerformanceModel(model, spec)
         self.power = PowerModel(model, spec)
         self.memory = MemoryModel(model, spec)
         self.metrics = metrics or MetricsCollector()

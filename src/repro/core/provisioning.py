@@ -20,10 +20,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.cluster import SimulationResult, simulate_design
-from repro.core.designs import ClusterDesign, get_design_family
+from repro.core.designs import ClusterDesign, build_design
 from repro.hardware.machine import DGX_A100, MachineSpec
 from repro.metrics.slo import DEFAULT_SLO, SloPolicy, SloReport
 from repro.metrics.summary import RequestMetrics
@@ -213,7 +213,7 @@ class Provisioner:
 
     def size_for_throughput(
         self,
-        family: str | Callable[..., ClusterDesign],
+        family: str,
         target_rps: float,
         prompt_counts: Iterable[int],
         token_counts: Iterable[int] = (0,),
@@ -222,17 +222,17 @@ class Provisioner:
         """Iso-throughput sizing: cheapest / lowest-power design meeting ``target_rps``.
 
         Args:
-            family: Design family name or factory.
+            family: Design family name.
             target_rps: Request rate every candidate must sustain.
             prompt_counts: Candidate prompt-pool sizes (or total machine
                 counts for baseline families).
-            token_counts: Candidate token-pool sizes (ignored for baselines).
+            token_counts: Candidate token-pool sizes (added to the prompt
+                count for baselines).
             goal: COST or POWER.
         """
-        factory = get_design_family(family) if isinstance(family, str) else family
         candidates: list[CandidateEvaluation] = []
         for num_prompt, num_token in itertools.product(sorted(set(prompt_counts)), sorted(set(token_counts))):
-            design = self._make_design(factory, num_prompt, num_token)
+            design = self._make_design(family, num_prompt, num_token)
             if design is None:
                 continue
             candidates.append(self.evaluate(design, target_rps))
@@ -241,7 +241,7 @@ class Provisioner:
 
     def max_throughput_under_budget(
         self,
-        family: str | Callable[..., ClusterDesign],
+        family: str,
         rates: Sequence[float],
         prompt_counts: Iterable[int],
         token_counts: Iterable[int] = (0,),
@@ -249,7 +249,6 @@ class Provisioner:
         max_power_kw: float | None = None,
     ) -> ProvisioningResult:
         """Iso-cost / iso-power sizing: the design maximizing throughput under a budget."""
-        factory = get_design_family(family) if isinstance(family, str) else family
         budget = ProvisioningConstraints(
             slo=self.constraints.slo,
             min_completion_rate=self.constraints.min_completion_rate,
@@ -260,7 +259,7 @@ class Provisioner:
         best_rate = -1.0
         candidates: list[CandidateEvaluation] = []
         for num_prompt, num_token in itertools.product(sorted(set(prompt_counts)), sorted(set(token_counts))):
-            design = self._make_design(factory, num_prompt, num_token)
+            design = self._make_design(family, num_prompt, num_token)
             if design is None or not budget.within_budget(design):
                 continue
             rate, evaluations = self.max_throughput(design, rates)
@@ -274,18 +273,12 @@ class Provisioner:
     # -- helpers ---------------------------------------------------------------------------
 
     @staticmethod
-    def _make_design(
-        factory: Callable[..., ClusterDesign], num_prompt: int, num_token: int
-    ) -> ClusterDesign | None:
-        """Instantiate a candidate, handling baseline vs split signatures."""
-        if num_prompt <= 0:
+    def _make_design(family: str, num_prompt: int, num_token: int) -> ClusterDesign | None:
+        """A candidate sized by :func:`build_design`; None when a pool would be empty."""
+        if num_prompt <= 0 or num_token < 0:
             return None
-        probe = factory(1, 1) if _accepts_two_counts(factory) else factory(1)
-        if probe.split:
-            if num_token <= 0:
-                return None
-            return factory(num_prompt, num_token)
-        return factory(num_prompt + num_token) if num_token else factory(num_prompt)
+        design = build_design(family, num_prompt, num_token)
+        return None if design.split and num_token == 0 else design
 
     def _select_best(
         self, candidates: Sequence[CandidateEvaluation], goal: OptimizationGoal
@@ -300,19 +293,8 @@ class Provisioner:
         return max(feasible, key=lambda c: c.rate_rps)
 
 
-def _accepts_two_counts(factory: Callable[..., ClusterDesign]) -> bool:
-    """Whether a design factory takes (num_prompt, num_token) or just (n)."""
-    import inspect
-
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/partials
-        return True
-    return len(parameters) >= 2
-
-
 def estimate_pool_sizes(
-    design_family: str | Callable[..., ClusterDesign],
+    design_family: str,
     rate_rps: float,
     workload: str | WorkloadSpec = "coding",
     model: ModelSpec = LLAMA2_70B,
@@ -328,7 +310,7 @@ def estimate_pool_sizes(
     utilization.  The simulator then refines around this point.
 
     Args:
-        design_family: Family name or factory (determines machine types).
+        design_family: Family name (determines machine types).
         rate_rps: Offered request rate.
         workload: Workload whose token-size distributions set the demand.
         model: LLM being served.
@@ -345,8 +327,7 @@ def estimate_pool_sizes(
         raise ValueError(f"rate_rps must be positive, got {rate_rps}")
     if not 0 < utilization_target <= 1:
         raise ValueError(f"utilization_target must be in (0, 1], got {utilization_target}")
-    factory = get_design_family(design_family) if isinstance(design_family, str) else design_family
-    probe = factory(1, 1) if _accepts_two_counts(factory) else factory(1)
+    probe = build_design(design_family, 1, 1)
     spec = get_workload(workload) if isinstance(workload, str) else workload
     rng = np.random.default_rng(seed)
     mean_prompt = float(np.mean(spec.prompt_tokens.sample(rng, sample_size)))

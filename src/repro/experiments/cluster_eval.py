@@ -15,15 +15,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.core.cluster import SimulationResult, simulate_design
-from repro.core.designs import (
-    ClusterDesign,
-    baseline_a100,
-    baseline_h100,
-    splitwise_aa,
-    splitwise_ha,
-    splitwise_hh,
-    splitwise_hhcap,
-)
+from repro.core.designs import ClusterDesign, build_design
 from repro.core.machine import MachineRole
 from repro.models.llm import LLAMA2_70B, ModelSpec
 from repro.workload.generator import generate_trace
@@ -49,16 +41,6 @@ PAPER_ISO_POWER_CONFIGS: Mapping[str, Mapping[str, tuple[int, int]]] = {
         "Splitwise-HHcap": (25, 21),
     },
 }
-
-_FACTORIES = {
-    "Baseline-A100": baseline_a100,
-    "Baseline-H100": baseline_h100,
-    "Splitwise-AA": splitwise_aa,
-    "Splitwise-HH": splitwise_hh,
-    "Splitwise-HA": splitwise_ha,
-    "Splitwise-HHcap": splitwise_hhcap,
-}
-
 
 def scaled_design_suite(
     workload: str = "conversation",
@@ -93,8 +75,7 @@ def _suite_from_configs(
         prompt, token = configs[family]
         scaled_prompt = max(1, round(prompt * scale))
         scaled_token = max(1, round(token * scale)) if token else 0
-        factory = _FACTORIES[family]
-        suite[family] = factory(scaled_prompt) if token == 0 else factory(scaled_prompt, scaled_token)
+        suite[family] = build_design(family, scaled_prompt, scaled_token)
     return suite
 
 

@@ -27,6 +27,7 @@ from repro.fleet.fleet import FleetResult, FleetSimulation
 from repro.fleet.provisioner import FleetProvisionerConfig
 from repro.fleet.reliability import DeadlineConfig, HedgeConfig, RetryPolicy
 from repro.fleet.router import ROUTER_POLICIES
+from repro.metrics.collectors import census
 from repro.models.llm import LLAMA2_70B, ModelSpec
 from repro.workload.scenarios import SCENARIO_PRESETS, Scenario, get_scenario
 from repro.workload.trace import Trace
@@ -175,10 +176,13 @@ def fleet_run_summary(result: FleetResult) -> dict:
     """One fleet run's JSON-friendly summary (shared by the sweep and CLI).
 
     The SLO reference model comes from the result itself (the model its
-    fleet served).
+    fleet served).  The exact :func:`~repro.metrics.collectors.census`
+    also checks the fleet's own shed and expired totals against the
+    per-request flags.
     """
     report = result.tenant_slo_report()
     summary = {
+        "census": census(result.requests, result.requests_shed, result.requests_expired),
         "completion_rate": round(result.completion_rate, 4),
         "requests_by_cluster": result.requests_by_cluster(),
         "tenant_slo": report.as_dict(),

@@ -12,11 +12,13 @@ time-varying traffic without paying for peak provisioning around the clock.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.core.autoscaler import AutoscalerConfig
 from repro.core.cluster import ClusterSimulation, SimulationResult
 from repro.core.designs import splitwise_hh
+from repro.metrics.collectors import census
+from repro.metrics.slo import SloReport
 from repro.models.llm import LLAMA2_70B, ModelSpec
 from repro.workload.scenarios import SCENARIO_PRESETS, Scenario, get_scenario
 from repro.workload.trace import Trace
@@ -51,24 +53,39 @@ def prepare_scenario_run(
     return simulation, trace, failures
 
 
-def _run_summary(result: SimulationResult, model: ModelSpec) -> dict[str, float]:
+def cluster_run_summary(result: SimulationResult, slo: SloReport) -> dict:
+    """One cluster run's JSON-friendly summary (shared by the sweep and CLI).
+
+    Carries the run's exact :func:`~repro.metrics.collectors.census` (which
+    raises if the run did not drain) next to its rounded latency, SLO, energy
+    and machine-hour figures; ``slo`` is the run's SLO report.
+    """
     metrics = result.request_metrics()
-    slo = result.slo_report(model=model)
+    design = result.design
     summary = {
-        "completion_rate": result.completion_rate,
-        "throughput_rps": metrics.throughput_rps,
-        "ttft_p90_s": metrics.ttft.p90,
-        "e2e_p90_s": metrics.e2e.p90,
-        "slo_ok": float(slo.satisfied),
-        "slo_violations": float(len(slo.violations())),
-        "tbt_slo_samples": float(slo.samples.get("tbt", 0)),
-        "machine_hours": result.machine_hours(),
-        "energy_wh": result.total_energy_wh(),
-        "pool_switches": float(result.scheduler.pool_switches),
+        "design": design.label,
+        "census": census(result.requests),
+        "completion_rate": round(result.completion_rate, 4),
+        "throughput_rps": round(metrics.throughput_rps, 3),
+        "ttft_p50_ms": round(metrics.ttft.p50 * 1e3, 1),
+        "ttft_p90_ms": round(metrics.ttft.p90 * 1e3, 1),
+        "tbt_p50_ms": round(metrics.tbt.p50 * 1e3, 1),
+        "tbt_p90_ms": round(metrics.tbt.p90 * 1e3, 1),
+        "e2e_p50_s": round(metrics.e2e.p50, 2),
+        "e2e_p90_s": round(metrics.e2e.p90, 2),
+        "energy_wh": round(result.total_energy_wh(), 1),
+        "cost_per_hour": round(design.cost_per_hour, 1),
+        "power_kw": round(design.provisioned_power_kw, 2),
+        "slo_satisfied": slo.satisfied,
+        "slo_violations": len(slo.violations()),
+        "slo_samples": dict(slo.samples),
+        "machine_hours": round(result.machine_hours(), 3),
+        "pool_switches": result.scheduler.pool_switches,
+        "restarted_requests": sum(1 for r in result.requests if r.restarts),
     }
     if result.autoscaler is not None:
-        summary["repurposes"] = float(result.autoscaler.repurpose_count())
-        summary["autoscaler_actions"] = float(len(result.autoscaler.timeline))
+        summary["repurposes"] = result.autoscaler.repurpose_count()
+        summary["autoscaler_actions"] = len(result.autoscaler.timeline)
     return summary
 
 
@@ -77,7 +94,7 @@ def scenario_sweep(
     scale: float = 1.0,
     seed: int = 0,
     model: ModelSpec = LLAMA2_70B,
-) -> dict[str, dict[str, Mapping[str, float]]]:
+) -> dict[str, dict]:
     """Run each scenario preset statically and autoscaled on the same trace.
 
     Args:
@@ -88,8 +105,9 @@ def scenario_sweep(
 
     Returns:
         ``{preset: {"static": {...}, "autoscaled": {...},
-        "machine_hours_saved": float}}`` with the per-run summaries produced
-        by the SLO evaluator and machine-hour accounting.
+        "machine_hours_saved": float}}`` with the per-run
+        :func:`cluster_run_summary` dicts ``repro-sim scenario --json``
+        prints.
     """
     chosen = presets or sorted(SCENARIO_PRESETS)
     results: dict[str, dict] = {}
@@ -104,11 +122,13 @@ def scenario_sweep(
         )
         auto_result = auto_sim.run(trace, failures=failures)
 
-        static_summary = _run_summary(static_result, model)
-        auto_summary = _run_summary(auto_result, model)
+        static_summary = cluster_run_summary(static_result, static_result.slo_report(model=model))
+        auto_summary = cluster_run_summary(auto_result, auto_result.slo_report(model=model))
         results[name] = {
             "static": static_summary,
             "autoscaled": auto_summary,
-            "machine_hours_saved": static_summary["machine_hours"] - auto_summary["machine_hours"],
+            "machine_hours_saved": round(
+                static_summary["machine_hours"] - auto_summary["machine_hours"], 3
+            ),
         }
     return results

@@ -7,7 +7,7 @@ power and energy, and cost.  SLOs (Table VI) are expressed as percentile
 slowdowns relative to an uncontended DGX-A100 request.
 """
 
-from repro.metrics.collectors import BatchOccupancyTracker, MetricsCollector, request_outcomes
+from repro.metrics.collectors import BatchOccupancyTracker, MetricsCollector, census
 from repro.metrics.slo import (
     DEFAULT_SLO,
     SloPolicy,
@@ -23,7 +23,7 @@ from repro.metrics.token_log import TokenLog
 __all__ = [
     "MetricsCollector",
     "BatchOccupancyTracker",
-    "request_outcomes",
+    "census",
     "TokenLog",
     "LatencySummary",
     "RequestMetrics",

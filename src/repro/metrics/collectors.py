@@ -10,9 +10,9 @@ Two collectors are provided:
   derive utilization and the weighted occupancy distribution over machine
   groups (e.g. "all Splitwise-HH prompt machines").
 
-:func:`request_outcomes` classifies a request population by lifecycle
-outcome (completed / degraded / expired / shed) — the census surface used
-by the reliability smoke checks.
+:func:`census` counts a drained run's requests by terminal outcome
+(completed / shed / expired, plus degraded completions) and checks that the
+counts close — the census every run summary carries.
 """
 
 from __future__ import annotations
@@ -26,36 +26,57 @@ import numpy as np
 from repro.metrics.token_log import TokenLog
 
 
-def request_outcomes(requests: Iterable) -> dict[str, int]:
-    """Count requests by lifecycle outcome.
+def census(
+    requests: Iterable,
+    shed_total: int | None = None,
+    expired_total: int | None = None,
+) -> dict[str, int]:
+    """Exact outcome counts of a drained run.
 
-    Returns a dict with keys ``total``, ``completed``, ``degraded``
-    (completed with a truncated output budget — a subset of ``completed``),
-    ``expired`` (cancelled by a deadline or exhausted retry budget),
-    ``shed`` (rejected by admission control), and ``in_flight`` (none of
-    the above — nonzero only for runs cut off by a horizon).
+    Every submitted request ends in exactly one terminal outcome: completed,
+    shed (rejected by admission control) or expired (cancelled by a deadline
+    or an exhausted retry budget).  So the returned ``submitted``,
+    ``completed``, ``shed`` and ``expired`` counts satisfy
+    ``completed + shed + expired == submitted``; ``degraded`` counts the
+    completions served with a truncated output budget (a subset of
+    ``completed``).
 
-    The census invariant of a drained run is
-    ``completed + expired + shed == total``.
+    Args:
+        requests: The run's submitted requests.
+        shed_total: The run's own count of shed requests (a fleet keeps one),
+            checked against the per-request flags.
+        expired_total: Likewise for expired requests.
+
+    Raises:
+        ValueError: if a request has no terminal outcome (it is still in
+            flight, as after a horizon-cut run) or more than one, or if
+            ``shed_total`` / ``expired_total`` disagree with the flags.
     """
-    total = completed = degraded = expired = shed = 0
+    submitted = completed = shed = expired = degraded = 0
     for request in requests:
-        total += 1
-        if request.is_complete:
-            completed += 1
-            if getattr(request, "degraded", False):
-                degraded += 1
-        elif getattr(request, "expired", False):
-            expired += 1
-        elif getattr(request, "shed", False):
-            shed += 1
+        outcomes = (request.is_complete, request.shed, request.expired)
+        if sum(outcomes) != 1:
+            raise ValueError(
+                f"census does not close: request {request.request_id} has "
+                f"completed/shed/expired = {outcomes}"
+            )
+        submitted += 1
+        completed += outcomes[0]
+        degraded += outcomes[0] and request.degraded
+        shed += outcomes[1]
+        expired += outcomes[2]
+    for name, total, counted in (("shed", shed_total, shed), ("expired", expired_total, expired)):
+        if total is not None and total != counted:
+            raise ValueError(
+                f"census does not close: the run counts {total} {name} requests, "
+                f"the request flags {counted}"
+            )
     return {
-        "total": total,
+        "submitted": submitted,
         "completed": completed,
-        "degraded": degraded,
-        "expired": expired,
         "shed": shed,
-        "in_flight": total - completed - expired - shed,
+        "expired": expired,
+        "degraded": degraded,
     }
 
 

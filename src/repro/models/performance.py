@@ -487,33 +487,15 @@ class ProfiledPerformanceModel(PerformanceModel):
         return cls(reference.model, reference.machine, prompt_profile, token_profile, reference_context)
 
     @staticmethod
-    def _interp(x: float | np.ndarray, xs: np.ndarray, ys: np.ndarray):
-        """Linear interpolation with linear extrapolation beyond the ends.
-
-        Accepts a scalar (returns ``float``) or an array of query points
-        (returns an ``ndarray``): batch evaluation runs one vectorized
-        ``np.interp`` over the breakpoint arrays plus masked extrapolation
-        fix-ups instead of a Python-level loop.
-        """
-        if np.ndim(x) == 0:
-            if x <= xs[0]:
-                slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-                return float(max(0.0, ys[0] + slope * (x - xs[0])))
-            if x >= xs[-1]:
-                slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-                return float(ys[-1] + slope * (x - xs[-1]))
-            return float(np.interp(x, xs, ys))
-        queries = np.asarray(x, dtype=float)
-        values = np.interp(queries, xs, ys)
-        below = queries <= xs[0]
-        if below.any():
+    def _interp(x: float, xs: np.ndarray, ys: np.ndarray) -> float:
+        """Linear interpolation with linear extrapolation beyond the ends."""
+        if x <= xs[0]:
             slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-            values[below] = np.maximum(0.0, ys[0] + slope * (queries[below] - xs[0]))
-        above = queries >= xs[-1]
-        if above.any():
+            return float(max(0.0, ys[0] + slope * (x - xs[0])))
+        if x >= xs[-1]:
             slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            values[above] = ys[-1] + slope * (queries[above] - xs[-1])
-        return values
+            return float(ys[-1] + slope * (x - xs[-1]))
+        return float(np.interp(x, xs, ys))
 
     def prompt_latency(self, prompt_tokens: int) -> float:
         if prompt_tokens < 0:
@@ -538,33 +520,6 @@ class ProfiledPerformanceModel(PerformanceModel):
         if self.slowdown_factor != 1.0:
             base *= self.slowdown_factor
         return base
-
-    def token_latency_series(
-        self, token_requests: int, context_start: int, context_step: int, count: int
-    ) -> array:
-        """Vectorized decode-latency series for a coalesced run.
-
-        The interpolated base latency is constant across the run (fixed batch
-        size); only the KV-read correction varies, so the whole series is one
-        numpy expression.  Element-wise IEEE operations match the scalar
-        :meth:`token_latency` exactly.
-        """
-        if token_requests < 0:
-            raise ValueError(f"token_requests must be non-negative, got {token_requests}")
-        if count <= 0 or token_requests == 0:
-            return array("d")
-        base = self._interp(float(token_requests), self._token_x, self._token_y)
-        deltas = (context_start - token_requests * self.reference_context) + context_step * np.arange(
-            count, dtype=np.int64
-        )
-        values = base + deltas * self._kv_read_per_token_s
-        np.maximum(values, 0.0, out=values)
-        if self.slowdown_factor != 1.0:
-            # Element-wise IEEE multiply: bit-identical to the scalar path.
-            values *= self.slowdown_factor
-        latencies = array("d")
-        latencies.frombytes(values.tobytes())
-        return latencies
 
 
 def mean_absolute_percentage_error(actual: Sequence[float], predicted: Sequence[float]) -> float:

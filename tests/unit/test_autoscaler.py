@@ -221,7 +221,7 @@ class TestScenarioExperiment:
         entry = results["diurnal"]
         assert entry["static"]["completion_rate"] == 1.0
         assert entry["autoscaled"]["completion_rate"] == 1.0
-        assert entry["autoscaled"]["tbt_slo_samples"] > 0
+        assert entry["autoscaled"]["slo_samples"]["tbt"] > 0
         assert entry["machine_hours_saved"] >= 0.0
 
     def test_preset_overrides_flow_into_config(self):

@@ -24,11 +24,13 @@ def _fleet_json(capsys, *args: str) -> dict:
 
 
 def _assert_census_closes(run: dict, submitted: int) -> None:
-    """completed + shed + expired == submitted, from a fleet run's JSON summary."""
-    completed = round(run["completion_rate"] * submitted)
-    shed = sum(run.get("requests_shed", {}).values())
-    expired = sum(run.get("requests_expired", {}).values())
-    assert completed + shed + expired == submitted, (completed, shed, expired, submitted)
+    """completed + shed + expired == submitted, from a fleet run's exact JSON census."""
+    census = run["census"]
+    assert census["submitted"] == submitted
+    assert census["completed"] + census["shed"] + census["expired"] == submitted, census
+    assert census["shed"] == sum(run.get("requests_shed", {}).values())
+    assert census["expired"] == sum(run.get("requests_expired", {}).values())
+    assert census["degraded"] == run.get("requests_degraded", 0)
 
 
 class TestTraceCommand:
@@ -63,6 +65,8 @@ class TestSimulateCommand:
         assert payload["design"].startswith("Baseline-H100")
         assert payload["completion_rate"] == 1.0
         assert payload["ttft_p50_ms"] > 0
+        census = payload["census"]
+        assert census["submitted"] == payload["requests"] == census["completed"]
 
     def test_replays_csv_trace(self, tmp_path, capsys):
         output = tmp_path / "trace.csv"
@@ -138,6 +142,15 @@ class TestScenarioCommand:
         assert first["autoscaled"]["slo_satisfied"]
         assert first["machine_hours_saved"] > 0
         assert isinstance(first["timeline"], list)
+
+    def test_json_runs_match_scenario_sweep(self, capsys):
+        from repro.experiments import scenario_sweep
+
+        main(["scenario", "--preset", "diurnal", "--scale", "0.5", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        sweep = scenario_sweep(presets=["diurnal"], scale=0.5)["diurnal"]
+        for key in ("static", "autoscaled", "machine_hours_saved"):
+            assert sweep[key] == payload[key], key
 
     def test_no_autoscaler_skips_comparison(self, capsys):
         code = main(["scenario", "--preset", "failure-under-load", "--scale", "0.5",
@@ -315,3 +328,7 @@ class TestParser:
     def test_unknown_design_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--design", "Splitwise-XY"])
+
+    def test_unknown_argument_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["designs", "--bogus"])

@@ -8,6 +8,7 @@ from repro.core.designs import (
     ClusterDesign,
     baseline_a100,
     baseline_h100,
+    build_design,
     get_design_family,
     splitwise_aa,
     splitwise_ha,
@@ -110,3 +111,15 @@ class TestFamilyRegistry:
     def test_unknown_family(self):
         with pytest.raises(KeyError):
             get_design_family("Splitwise-XX")
+
+
+class TestBuildDesign:
+    def test_baseline_gets_one_pool_of_both_counts(self):
+        design = build_design("Baseline-H100", 2, 1)
+        assert design.num_machines == 3
+        assert design == baseline_h100(3)
+
+    def test_splitwise_keeps_both_pools_as_given(self):
+        design = build_design("Splitwise-HA", 2, 1)
+        assert (design.num_prompt, design.num_token) == (2, 1)
+        assert design == splitwise_ha(2, 1)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.cluster import ClusterSimulation, simulate_design
 from repro.hardware.machine import DGX_A100
-from repro.metrics.collectors import BatchOccupancyTracker, MetricsCollector
+from repro.metrics.collectors import BatchOccupancyTracker, MetricsCollector, census
 from repro.metrics.slo import DEFAULT_SLO, SloPolicy, evaluate_slo
 from repro.metrics.summary import LatencySummary, percentile, summarize_requests
 from repro.models.llm import LLAMA2_70B
@@ -103,6 +104,34 @@ class TestBatchOccupancyTracker:
         a.merge(b)
         assert a.total_time == pytest.approx(4.0)
         assert a.as_mapping()[1] == pytest.approx(2.0)
+
+
+class TestCensus:
+    def test_drained_run_closes(self, small_splitwise_design, tiny_trace):
+        result = simulate_design(small_splitwise_design, tiny_trace)
+        assert census(result.requests) == {
+            "submitted": 4, "completed": 4, "shed": 0, "expired": 0, "degraded": 0,
+        }
+
+    def test_horizon_cut_run_with_requests_in_flight_raises(self, small_splitwise_design, small_trace):
+        result = ClusterSimulation(small_splitwise_design).run(small_trace, horizon_s=5.0)
+        with pytest.raises(ValueError, match="census does not close"):
+            census(result.requests)
+
+    def test_request_both_completed_and_shed_raises(self, make_request):
+        request = make_request()
+        request.complete(1.0)
+        request.shed = True
+        with pytest.raises(ValueError, match="census does not close"):
+            census([request])
+
+    @pytest.mark.parametrize("totals", [{"shed_total": 1}, {"expired_total": 1}])
+    def test_run_totals_disagreeing_with_flags_raise(self, make_request, totals):
+        request = make_request()
+        request.complete(1.0)
+        assert census([request], shed_total=0, expired_total=0)["completed"] == 1
+        with pytest.raises(ValueError, match="census does not close"):
+            census([request], **totals)
 
 
 class TestMetricsCollector:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.hardware.machine import DGX_A100, DGX_H100, DGX_H100_CAPPED, MachineSpec
@@ -272,12 +271,3 @@ class TestTokenLatencySeries:
         assert list(llama_h100_perf.token_latency_series(4, 100, 4, 0)) == []
         profiled = ProfiledPerformanceModel.from_model(llama_h100_perf)
         assert list(profiled.token_latency_series(4, 100, 4, 0)) == []
-
-
-class TestVectorizedInterp:
-    def test_array_queries_match_scalar_queries(self, llama_h100_perf):
-        profiled = ProfiledPerformanceModel.from_model(llama_h100_perf)
-        queries = np.asarray([1.0, 3.5, 64.0, 200.0, 0.5])  # interior + both extrapolation sides
-        vector = profiled._interp(queries, profiled._token_x, profiled._token_y)
-        scalar = [profiled._interp(float(q), profiled._token_x, profiled._token_y) for q in queries]
-        assert list(vector) == scalar

@@ -20,7 +20,7 @@ from repro.fleet import (
     HedgeConfig,
     RetryPolicy,
 )
-from repro.metrics.collectors import request_outcomes
+from repro.metrics.collectors import census
 from repro.simulation.request import RequestPhase
 from repro.workload.generator import generate_trace
 from repro.workload.scenarios import mix_traces
@@ -186,9 +186,9 @@ class TestRetriesInFleet:
         lifecycle = result.lifecycle
         assert lifecycle.retries_exhausted > 0
         assert lifecycle.retries_exhausted == result.requests_expired
-        outcomes = request_outcomes(result.requests)
-        assert outcomes["expired"] > 0 and outcomes["in_flight"] == 0
-        assert outcomes["completed"] + outcomes["expired"] == outcomes["total"]
+        outcomes = census(result.requests, result.requests_shed, result.requests_expired)
+        assert outcomes["expired"] > 0
+        assert outcomes["completed"] + outcomes["expired"] == outcomes["submitted"]
         for request in result.expired_requests:
             assert request.phase is RequestPhase.EXPIRED and not request.is_complete
 
@@ -239,12 +239,12 @@ class TestDeadlinesInFleet:
     def test_impossible_e2e_deadline_expires_everything(self):
         fleet = _small_fleet(deadlines=DeadlineConfig(e2e_s=0.001))
         result = fleet.run(_quick_trace())
-        outcomes = request_outcomes(result.requests)
+        outcomes = census(result.requests, result.requests_shed, result.requests_expired)
         assert outcomes["completed"] == 0
-        assert outcomes["expired"] == outcomes["total"]
+        assert outcomes["expired"] == outcomes["submitted"]
         report = result.tenant_slo_report()
         assert report.fleet_goodput == 0.0
-        assert report.as_dict()["fleet"]["expired"] == outcomes["total"]
+        assert report.as_dict()["fleet"]["expired"] == outcomes["submitted"]
 
     def test_loose_deadline_changes_nothing(self):
         trace = _quick_trace()
@@ -309,10 +309,9 @@ class TestDegradedService:
 
     def test_census_closed_with_degradation(self):
         result = self._overload(DegradedConfig(max_output_tokens=16, on_shed=True))
-        outcomes = request_outcomes(result.requests)
-        assert outcomes["in_flight"] == 0
+        outcomes = census(result.requests, result.requests_shed, result.requests_expired)
         assert (
-            outcomes["completed"] + outcomes["expired"] + outcomes["shed"] == outcomes["total"]
+            outcomes["completed"] + outcomes["expired"] + outcomes["shed"] == outcomes["submitted"]
         )
         assert (
             len(result.completed_requests) + result.requests_shed + result.requests_expired

@@ -485,6 +485,19 @@ class TestCLI:
         assert cli_main(["lint", str(dirty_tree), "--no-baseline"]) == 1
         assert "SIM002" in capsys.readouterr().out
 
+    def test_repro_sim_lint_forwards_every_simlint_flag(self, dirty_tree, capsys):
+        from repro.cli import main as cli_main
+
+        baseline = dirty_tree / "accepted.json"
+        assert cli_main([
+            "lint", str(dirty_tree), "--write-baseline", str(baseline), "--baseline-note", "why",
+        ]) == 0
+        entries = json.loads(baseline.read_text())["entries"]
+        assert entries and all(entry["note"] == "why" for entry in entries)
+        with pytest.raises(SystemExit):
+            cli_main(["lint", "--help"])
+        assert "--baseline-note" in capsys.readouterr().out
+
 
 class TestRepoIsClean:
     def test_src_tree_has_no_unbaselined_findings(self, capsys, monkeypatch):
