@@ -37,11 +37,11 @@ one per-member finish loop (token time, generated count, phase,
 completion), and hands the completers to :meth:`RotationForest.commit_aging`,
 which keeps the run and level caches and ages the skipped.
 
-The forest reproduces the flat view's order *exactly*: effective boosts are
-``stored + offset`` (integer-valued, as produced by +1.0 aging steps), and
+The forest reproduces the flat view's order *exactly*: boosts are integer
+counts of skipped iterations, effective boosts are ``stored + offset``, and
 :meth:`RotationForest.flatten` materializes the identical
 ``(-priority_boost, arrival_time, request_id)`` order and writes back the
-float boosts the per-iteration simulator would have produced.
+boosts the per-iteration simulator would have produced.
 """
 
 from __future__ import annotations
@@ -153,32 +153,21 @@ class RotationForest:
     # -- construction ---------------------------------------------------------------
 
     @classmethod
-    def from_ordered_view(cls, view: Iterable) -> "RotationForest | None":
-        """Build a forest from a ``(-boost, arrival, id)``-ordered pool view.
-
-        Returns ``None`` if any boost is not integer-valued (aging only ever
-        adds 1.0, so non-integer boosts mean an external writer is involved
-        and the flat representation must be kept).
-        """
+    def from_ordered_view(cls, view: Iterable) -> "RotationForest":
+        """Build a forest from a ``(-boost, arrival, id)``-ordered pool view."""
         forest = cls()
         levels = forest.levels
-        current_boost: float | None = None
         members: list = []
         context = 0
         for request in view:
-            boost = request.priority_boost
-            if boost != current_boost:
-                if not float(boost).is_integer():
-                    return None
-                if members:
-                    levels.append(forest._new_level(int(current_boost), members, context))
-                current_boost = boost
+            if members and request.priority_boost != members[0].priority_boost:
+                levels.append(forest._new_level(members[0].priority_boost, members, context))
                 members = []
                 context = 0
             members.append(request)
             context += request.prompt_tokens + request.generated_tokens
         if members:
-            levels.append(forest._new_level(int(current_boost), members, context))
+            levels.append(forest._new_level(members[0].priority_boost, members, context))
         return forest
 
     def _new_level(self, stored: int, members: list, context: int) -> RotationLevel:
@@ -392,7 +381,7 @@ class RotationForest:
                 gone = completed[first:last]
                 done = {id(request) for request in gone}
                 owner = selection.split_level if level is None else level
-                boost = float(owner.stored + offset)
+                boost = owner.stored + offset
                 for request in gone:
                     request.priority_boost = boost
                     growth -= request.prompt_tokens + request.generated_tokens
@@ -474,9 +463,8 @@ class RotationForest:
     # -- membership -----------------------------------------------------------------
 
     def insert(self, request) -> None:
-        """Add a newly admitted member at its current (integer) boost."""
-        effective = int(request.priority_boost)
-        stored = effective - self.offset
+        """Add a newly admitted member at its current boost."""
+        stored = request.priority_boost - self.offset
         context = request.prompt_tokens + request.generated_tokens
         levels = self.levels
         for index, level in enumerate(levels):
@@ -501,7 +489,7 @@ class RotationForest:
     # -- materialization ------------------------------------------------------------
 
     def flatten(self, inflight: Selection | None = None) -> list:
-        """The pool in exact flat-view order, with float boosts written back.
+        """The pool in exact flat-view order, with boosts written back.
 
         Pure with respect to the forest structure (safe to call between any
         two iterations, and — with ``inflight`` — mid-iteration: the
@@ -513,7 +501,7 @@ class RotationForest:
         offset = self.offset
         split = inflight.split_level if inflight is not None else None
         for level in self.levels:
-            boost = float(level.stored + offset)
+            boost = level.stored + offset
             runs = [run.live() for run in level.runs]
             if level is split:
                 runs.append(inflight.extracted)

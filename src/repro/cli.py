@@ -247,11 +247,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # Explicit --rate / --duration reshape the replayed trace instead of
         # being silently ignored.
         if args.rate is not None:
-            try:
-                trace = trace.scaled_to_rate(args.rate)
-            except ValueError as error:
-                print(f"error: cannot rescale replayed trace: {error}", file=sys.stderr)
-                return 1
+            trace = trace.scaled_to_rate(args.rate)
             notes.append(f"rescaled replayed trace to {args.rate:g} RPS")
         if args.duration is not None:
             trace = trace.truncated(args.duration)
@@ -267,14 +263,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rate = args.rate if args.rate is not None else 2.0
         duration = args.duration if args.duration is not None else 60.0
         trace = generate_trace(args.workload, rate_rps=rate, duration_s=duration, seed=args.seed)
-    try:
-        failures = _parse_failures(args.failures)
-        result = simulate_design(design, trace, model=model, failures=failures)
-    except ValueError as error:
-        # Covers malformed --failures specs and (from prepare-time
-        # validation) failure injections naming machines the design lacks.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    failures = _parse_failures(args.failures)
+    result = simulate_design(design, trace, model=model, failures=failures)
     summary = {
         "model": model.name,
         "seed": args.seed,
@@ -593,7 +583,12 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    Bad input (a ``ValueError``, ``KeyError`` or ``OSError`` out of a
+    subcommand) prints ``error: <message>`` to stderr and returns 1.
+    Simulator faults (``AccountingError``, ``SanitizerError``) still raise.
+    """
     parser = build_parser()
     args, rest = parser.parse_known_args(argv)
     if args.command == "lint":
@@ -604,7 +599,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return simlint.main(rest)
     if rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except KeyError as error:
+        # str() of a KeyError is the repr of its argument; print the text.
+        print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
+    except (ValueError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

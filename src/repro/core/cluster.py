@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.batching.policies import make_policy
+from repro.batching.policies import RequestLevelBatching, make_policy
 from repro.core.autoscaler import AutoscalerConfig, PoolAutoscaler
 from repro.core.cluster_scheduler import ClusterScheduler
 from repro.core.designs import ClusterDesign
@@ -158,7 +158,10 @@ class ClusterSimulation:
         decode_queue_threshold: CLS overflow threshold for token machines.
         batching: Batching policy name for every machine (``"mixed"``, the
             paper's default, or ``"continuous"`` / ``"request-level"`` for the
-            Fig. 2 comparison).
+            Fig. 2 comparison).  Request-level batching needs an unsplit
+            design: it decodes only the batch a machine admitted from its
+            own prompt queue, and a Splitwise token machine receives its
+            requests by KV transfer instead.
         routing: CLS routing policy (``"jsq"``, ``"round-robin"``, ``"random"``).
         fast_forward: Coalesce steady-state decode runs into macro-events on
             every machine (bit-identical results; see
@@ -175,6 +178,9 @@ class ClusterSimulation:
         name: Optional cluster name.  When given, machine names are prefixed
             (``"{name}/prompt-0"``) so machines from different clusters of
             one fleet never collide in logs, failure injections, or metrics.
+
+    Raises:
+        ValueError: if ``batching`` is request-level on a split design.
     """
 
     def __init__(
@@ -192,6 +198,11 @@ class ClusterSimulation:
         engine: SimulationEngine | None = None,
         name: str = "",
     ) -> None:
+        if design.split and isinstance(make_policy(batching), RequestLevelBatching):
+            raise ValueError(
+                f"request-level batching cannot run split design {design.label!r}: its token "
+                "machines receive requests by KV transfer, not through a prompt queue"
+            )
         self.design = design
         self.model = model
         self.batching = batching

@@ -262,12 +262,12 @@ class ClusterScheduler:
         #: outstanding-request lookup go straight to the two relevant machines
         #: instead of scanning every queue in the cluster.
         self._assignments: dict[int, RoutingDecision] = {}
-        self._transfer_events: dict[int, Event] = {}
-        #: request_id -> Request for every KV-cache transfer in flight.  The
-        #: transfer window is the one lifecycle stretch where a request sits
-        #: in no machine queue, so evacuation needs its own registry to find
-        #: (and restart) these requests.
-        self._transfer_requests: dict[int, Request] = {}
+        #: request_id -> (request, completion event) for every KV-cache
+        #: transfer in flight.  The transfer window is the one lifecycle
+        #: stretch where a request sits in no machine queue, so evacuation
+        #: needs this registry to find (and restart) these requests, and
+        #: withdrawal to tombstone their completion events.
+        self._transfers: dict[int, tuple[Request, Event]] = {}
         self._machines_cache: list[SimulatedMachine] | None = None
         self._machines_cache_versions: tuple[int, int, int, int] = (-1, -1, -1, -1)
         self._transfer_models: dict[tuple[str, str], KVTransferModel] = {}
@@ -296,12 +296,7 @@ class ClusterScheduler:
             machine.on_prompt_complete = self._handle_prompt_complete
             machine.on_request_complete = self._handle_request_complete
             machine.on_iteration_complete = self._handle_iteration_complete
-            if not split or machine.home_role is MachineRole.MIXED:
-                self.mixed_pool.add(machine)
-            elif machine.home_role is MachineRole.PROMPT:
-                self.prompt_pool.add(machine)
-            elif machine.home_role is MachineRole.TOKEN:
-                self.token_pool.add(machine)
+            self._place_home(machine)
 
     # -- public API -----------------------------------------------------------------
 
@@ -437,11 +432,25 @@ class ClusterScheduler:
         if machine.has_foreign_work():
             return
         self.mixed_pool.remove(machine)
-        machine.role = machine.home_role
+        self._place_home(machine)
+
+    def _home_pool(self, machine: SimulatedMachine) -> MachinePool:
+        """The pool a machine serves from when not borrowed, parked or failed."""
+        if not self.split or machine.home_role is MachineRole.MIXED:
+            return self.mixed_pool
         if machine.home_role is MachineRole.PROMPT:
-            self.prompt_pool.add(machine)
-        else:
-            self.token_pool.add(machine)
+            return self.prompt_pool
+        return self.token_pool
+
+    def _place_home(self, machine: SimulatedMachine) -> None:
+        """Put a machine in its home pool, in its home role."""
+        machine.role = machine.home_role
+        self._home_pool(machine).add(machine)
+
+    def _leave_pools(self, machine: SimulatedMachine) -> None:
+        """Take a machine out of every pool, the parked pool included."""
+        for pool in (self.prompt_pool, self.token_pool, self.mixed_pool, self.parked_pool):
+            pool.remove(machine)
 
     # -- dynamic re-purposing (autoscaler hooks) ----------------------------------------------
 
@@ -460,9 +469,7 @@ class ClusterScheduler:
             raise ValueError(f"machine {machine.name} still has work; only idle machines can be parked")
         if machine in self.parked_pool:
             return
-        self.prompt_pool.remove(machine)
-        self.token_pool.remove(machine)
-        self.mixed_pool.remove(machine)
+        self._leave_pools(machine)
         machine.role = machine.home_role
         self.parked_pool.add(machine)
 
@@ -471,13 +478,7 @@ class ClusterScheduler:
         if machine not in self.parked_pool:
             return
         self.parked_pool.remove(machine)
-        machine.role = machine.home_role
-        if not self.split or machine.home_role is MachineRole.MIXED:
-            self.mixed_pool.add(machine)
-        elif machine.home_role is MachineRole.PROMPT:
-            self.prompt_pool.add(machine)
-        else:
-            self.token_pool.add(machine)
+        self._place_home(machine)
 
     def retarget_home(self, machine: SimulatedMachine, new_home: MachineRole) -> None:
         """Re-purpose a machine to a new home pool with drain-before-switch.
@@ -509,13 +510,8 @@ class ClusterScheduler:
         if machine.has_foreign_work():
             self._move_to_mixed(machine)
             return
-        self.prompt_pool.remove(machine)
-        self.token_pool.remove(machine)
-        machine.role = new_home
-        if new_home is MachineRole.PROMPT:
-            self.prompt_pool.add(machine)
-        else:
-            self.token_pool.add(machine)
+        self._leave_pools(machine)
+        self._place_home(machine)
         self.pool_switches += 1
 
     def count_home_machines(self, role: MachineRole) -> int:
@@ -547,29 +543,21 @@ class ClusterScheduler:
         target = self._resolve_machine(machine)
         if target.failed:
             return []
-        affected = target.fail()
-        self.prompt_pool.remove(target)
-        self.token_pool.remove(target)
-        self.mixed_pool.remove(target)
-        self.parked_pool.remove(target)
-        self.failed_machines.append(target)
-        if self.on_machine_failed is not None:
-            self.on_machine_failed(target)
-
+        to_restart = {id(r): r for r in self._take_down(target)}
         # Requests routed to the failed machine for a later phase must also restart.
-        to_restart = {id(r): r for r in affected}
         for request_id, decision in list(self._assignments.items()):
             if decision.prompt_machine is target or decision.token_machine is target:
                 request = self._find_outstanding_request(request_id, decision)
                 if request is not None and not request.is_complete:
                     to_restart.setdefault(id(request), request)
 
+        # One request at a time: each restart routes against the queues the
+        # requests not yet withdrawn still hold.
         restarted: list[Request] = []
         handler = self.restart_handler
         for request in to_restart.values():
-            self._withdraw(request)
+            self.cancel_request(request)
             request.reset_for_restart()
-            self._assignments.pop(request.request_id, None)
             if handler is not None:
                 handler(request)
             else:
@@ -598,13 +586,7 @@ class ClusterScheduler:
             return None
         target.recover()
         self.failed_machines.remove(target)
-        target.role = target.home_role
-        if not self.split or target.home_role is MachineRole.MIXED:
-            self.mixed_pool.add(target)
-        elif target.home_role is MachineRole.PROMPT:
-            self.prompt_pool.add(target)
-        else:
-            self.token_pool.add(target)
+        self._place_home(target)
         if self.on_machine_recovered is not None:
             self.on_machine_recovered(target)
         return target
@@ -635,29 +617,28 @@ class ClusterScheduler:
         for machine in list(self.machines):
             if machine.failed:
                 continue
-            affected = machine.fail()
-            self.prompt_pool.remove(machine)
-            self.token_pool.remove(machine)
-            self.mixed_pool.remove(machine)
-            self.parked_pool.remove(machine)
-            self.failed_machines.append(machine)
-            if self.on_machine_failed is not None:
-                self.on_machine_failed(machine)
-            for request in affected:
+            for request in self._take_down(machine):
                 to_restart.setdefault(id(request), request)
         # Requests mid KV-transfer sit in no machine queue; the transfer
         # registry is the only index that still knows them.
-        for request in list(self._transfer_requests.values()):
+        for request, _event in list(self._transfers.values()):
             if not request.is_complete:
                 to_restart.setdefault(id(request), request)
-        evacuated: list[Request] = []
-        for request in to_restart.values():
-            self._withdraw(request)
+        evacuated = list(to_restart.values())
+        for request in evacuated:
+            self.cancel_request(request)
             request.reset_for_restart()
-            self._assignments.pop(request.request_id, None)
-            evacuated.append(request)
         self.restarted_requests.extend(evacuated)
         return evacuated
+
+    def _take_down(self, machine: SimulatedMachine) -> list[Request]:
+        """Fail one machine, take it out of every pool, and return its work."""
+        affected = machine.fail()
+        self._leave_pools(machine)
+        self.failed_machines.append(machine)
+        if self.on_machine_failed is not None:
+            self.on_machine_failed(machine)
+        return affected
 
     def cancel_request(self, request: Request) -> None:
         """Withdraw a request from the cluster without restarting it.
@@ -711,10 +692,9 @@ class ClusterScheduler:
         else:
             for machine in self.machines:
                 machine.withdraw(request)
-        event = self._transfer_events.pop(request.request_id, None)
-        if event is not None:
-            self.engine.cancel(event)
-        self._transfer_requests.pop(request.request_id, None)
+        transfer = self._transfers.pop(request.request_id, None)
+        if transfer is not None:
+            self.engine.cancel(transfer[1])
 
     # -- KV-cache transfer ---------------------------------------------------------------
 
@@ -765,16 +745,14 @@ class ClusterScheduler:
         transfer = self._transfer_model(machine, destination)
         latency = transfer.visible_latency(request.prompt_tokens, prompt_latency)
         request.start_kv_transfer(self.engine.now)
-        self._transfer_requests[request.request_id] = request
-        self._transfer_events[request.request_id] = self.engine.schedule_after(
+        self._transfers[request.request_id] = (request, self.engine.schedule_after(
             latency,
             lambda: self._complete_transfer(request, destination),
             tag=f"kv-transfer:{request.request_id}",
-        )
+        ))
 
     def _complete_transfer(self, request: Request, destination: SimulatedMachine) -> None:
-        self._transfer_events.pop(request.request_id, None)
-        self._transfer_requests.pop(request.request_id, None)
+        self._transfers.pop(request.request_id, None)
         if request.phase is not RequestPhase.KV_TRANSFER and not request.is_complete:
             # The request was restarted (machine failure) while its KV-cache
             # was in flight; the stale transfer completion is dropped.

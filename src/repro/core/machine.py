@@ -43,6 +43,11 @@ results bit-identical to per-iteration stepping:
   restores all happen at exact per-iteration times; withdrawals, failures,
   or a binding KV budget flatten the forest back into the flat view.
 
+Each fact of the iteration loop has one record: ``_running_plan`` is the
+in-flight iteration (``None`` when idle) and ``_event`` its one pending
+finish or macro-event, and ``priority_boost`` is an integer count of the
+aging passes that skipped a request.
+
 Disable both with ``fast_forward=False``.
 """
 
@@ -74,7 +79,7 @@ from repro.models.memory import MemoryModel
 from repro.models.performance import AnalyticalPerformanceModel
 from repro.models.power import PowerModel
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import FINISH_EVENT_PRIORITY, START_EVENT_PRIORITY
+from repro.simulation.events import FINISH_EVENT_PRIORITY, START_EVENT_PRIORITY, Event
 from repro.simulation.request import Request, RequestPhase
 
 
@@ -180,10 +185,9 @@ class SimulatedMachine:
         # by fail/restart semantics (the `token_pool` property materializes
         # that view; hot paths use the dict so completions remove in O(1)).
         self._token_ready: PriorityOrderedView = PriorityOrderedView()
-        self.in_transfer: set[int] = set()
-        self._in_transfer_tokens: dict[int, int] = {}
-        self._running_plan: BatchPlan | None = None
-        self._busy = False
+        # request_id -> output tokens of every request whose KV-cache is
+        # expected here.
+        self.in_transfer: dict[int, int] = {}
         self.failed = False
 
         # Incremental queue accounting (tentpole of the O(1) hot path): each
@@ -191,43 +195,37 @@ class SimulatedMachine:
         self._queued_prompt_tokens = 0  # sum(prompt_tokens) over pending_prompts
         self._running_prompt_tokens = 0  # prompt tokens of the running plan
         self._pool_decode_tokens = 0  # sum(remaining_tokens) over token_pool
-        self._expected_decode_tokens = 0  # sum of _in_transfer_tokens values
+        self._expected_decode_tokens = 0  # sum(in_transfer.values())
         self._kv_tokens = 0  # sum(context_tokens) over token_pool
         # request_id indexes over the queues for O(1) lookup and withdrawal.
         self._queued_by_id: dict[int, Request] = {}
         self._pool_by_id: dict[int, Request] = {}
         # At most one pending start event per machine (kick collapsing).
         self._start_scheduled = False
-        # Aging bookkeeping: pool size at planning time plus admissions until
-        # the aging pass lets _finish_iteration derive the skipped count O(1).
-        self._pool_len_at_plan = 0
-        self._admitted_during_iteration = 0
-        self._aging_pending = False
         # request_ids withdrawn while the current iteration is in flight.
         self._withdrawn_ids: set[int] = set()
         self._start_tag = f"{name}:start"
         self._finish_tag = f"{name}:finish"
         self._macro_tag = f"{name}:macro"
-        # Pending-finish arguments (one iteration in flight at a time), so the
-        # finish event is a reused bound method instead of a fresh closure.
-        # The event handle is kept so fail() can tombstone it: a machine that
-        # fails and later recovers must not replay the dead iteration.
-        self._finish_plan: BatchPlan | None = None
+        # The one in-flight iteration: its batch (a coalesced run's plan
+        # too), its prompt latency, and its one pending finish or macro
+        # event.  The finish event is a reused bound method instead of a
+        # fresh closure, and its handle is kept so fail() can tombstone it: a
+        # machine that fails and later recovers must not replay the dead
+        # iteration.
+        self._running_plan: BatchPlan | None = None
         self._finish_prompt_latency = 0.0
-        self._finish_event = None
-        # Decode fast-forward state: the macro-event's plan, the per-iteration
-        # duration/energy series, the absolute end time of every coalesced
-        # iteration, and commit cursors (bookkeeping committed vs. metrics
-        # recorded — metrics lead by one because the per-iteration simulator
-        # records an iteration when it *starts*).
-        self._ff_plan: BatchPlan | None = None
+        self._event: Event | None = None
+        # Decode fast-forward state: the per-iteration duration/energy
+        # series, the absolute end time of every coalesced iteration (one per
+        # iteration of the run), and commit cursors (bookkeeping committed
+        # vs. metrics recorded — metrics lead by one because the
+        # per-iteration simulator records an iteration when it *starts*).
         self._ff_boundaries: array | None = None
         self._ff_durations: array | None = None
         self._ff_energies: array | None = None
-        self._ff_count = 0
         self._ff_done = 0
         self._ff_recorded = 0
-        self._ff_event = None
         self.fast_forward_runs = 0  # macro-events launched (introspection)
         # Oversubscribed pools: the level forest replaces the flat priority
         # view while active, and holds the in-flight iteration's selection
@@ -259,18 +257,13 @@ class SimulatedMachine:
 
     def expect_transfer(self, request: Request) -> None:
         """Register a request whose KV-cache will arrive later (for JSQ accounting)."""
-        request_id = request.request_id
-        previous = self._in_transfer_tokens.get(request_id)
-        if previous is not None:
-            self._expected_decode_tokens -= previous
-        self.in_transfer.add(request_id)
-        self._in_transfer_tokens[request_id] = request.output_tokens
+        self.cancel_transfer(request)
+        self.in_transfer[request.request_id] = request.output_tokens
         self._expected_decode_tokens += request.output_tokens
 
     def cancel_transfer(self, request: Request) -> None:
         """Drop a previously expected transfer (request finished in its prompt phase)."""
-        self.in_transfer.discard(request.request_id)
-        tokens = self._in_transfer_tokens.pop(request.request_id, None)
+        tokens = self.in_transfer.pop(request.request_id, None)
         if tokens is not None:
             self._expected_decode_tokens -= tokens
 
@@ -278,34 +271,21 @@ class SimulatedMachine:
         """Admit a request whose KV-cache has arrived into the token pool."""
         if self.failed:
             raise RuntimeError(f"machine {self.name} has failed and cannot accept token requests")
-        self.in_transfer.discard(request.request_id)
-        tokens = self._in_transfer_tokens.pop(request.request_id, None)
-        if tokens is not None:
-            self._expected_decode_tokens -= tokens
+        self.cancel_transfer(request)
         if request.phase is _COMPLETED:
             return
-        if self._rot_forest is not None:
-            if float(request.priority_boost).is_integer():
-                # The forest absorbs admissions: the in-flight iteration's
-                # batch is already fixed, and the forest places the newcomer
-                # at its boost level, where the next aging pass boosts it
-                # just as the flat path's admitted-during-iteration count
-                # would.
-                self._pool_by_id[request.request_id] = request
-                self._pool_decode_tokens += request.output_tokens - request.generated_tokens
-                self._kv_tokens += request.prompt_tokens + request.generated_tokens
-                self._rot_forest.insert(request)
-                return
-            # Non-integer boost (external writer): the forest can't represent
-            # it; hand the pool back to the flat view.
-            self._rotation_interrupt()
         self._ff_interrupt()
-        insort(self._token_ready, request, key=priority_key)
         self._pool_by_id[request.request_id] = request
         self._pool_decode_tokens += request.output_tokens - request.generated_tokens
         self._kv_tokens += request.prompt_tokens + request.generated_tokens
-        if self._aging_pending:
-            self._admitted_during_iteration += 1
+        if self._rot_forest is not None:
+            # The forest absorbs admissions: the in-flight iteration's batch
+            # is already fixed, and the forest places the newcomer at its
+            # boost level, where the next aging pass boosts it just as the
+            # flat path does.
+            self._rot_forest.insert(request)
+            return
+        insort(self._token_ready, request, key=priority_key)
         self._kick()
 
     def withdraw(self, request: Request) -> None:
@@ -317,6 +297,7 @@ class SimulatedMachine:
         self._rotation_interrupt()
         self._ff_interrupt()
         request_id = request.request_id
+        running = self._running_plan
         if self._queued_by_id.pop(request_id, None) is not None:
             self.pending_prompts.remove(request)
             self._queued_prompt_tokens -= request.prompt_tokens
@@ -324,21 +305,20 @@ class SimulatedMachine:
             self._remove_ready(request)
             self._pool_decode_tokens -= request.remaining_tokens
             self._kv_tokens -= request.prompt_tokens + request.generated_tokens
-            if self._busy:
+            if running is not None:
                 # The running plan may reference this request; the finish
                 # loop must skip it (a membership re-check is not enough —
                 # the restarted request can be re-admitted to this very
                 # machine before the stale finish event fires).
                 self._withdrawn_ids.add(request_id)
-        elif self._busy and self._running_plan is not None:
+        elif running is not None and any(r is request for r in running.prompt_requests):
             # Mid-running-prompt: the request was popped from the queue at
             # iteration start, so neither map holds it — only the running
             # plan does.  Mark it so the finish loop's prompt pass skips it
             # (finish_prompt on a reset request would corrupt the restarted
             # attempt).  `_running_prompt_tokens` is left alone: it is
             # plan-static and reset wholesale when the iteration finishes.
-            if any(r is request for r in self._running_plan.prompt_requests):
-                self._withdrawn_ids.add(request_id)
+            self._withdrawn_ids.add(request_id)
         self.cancel_transfer(request)
 
     def _remove_ready(self, request: Request) -> None:
@@ -367,24 +347,27 @@ class SimulatedMachine:
         self._rotation_interrupt()
         self._ff_interrupt()
         self.failed = True
-        # Tombstone the in-flight iteration's finish event: the `failed`
-        # guard alone is not enough once repair exists — a machine recovered
-        # before the stale event fires would replay the dead iteration and
-        # complete requests that already restarted elsewhere.
-        if self._finish_event is not None:
-            self.engine.cancel(self._finish_event)
-            self._finish_event = None
-        self._finish_plan = None
+        # Tombstone the in-flight iteration's finish event: a machine
+        # recovered before the stale event fires would otherwise replay the
+        # dead iteration and complete requests that already restarted
+        # elsewhere.
+        if self._event is not None:
+            self.engine.cancel(self._event)
+            self._event = None
         affected: list[Request] = []
         affected.extend(self.pending_prompts)
         affected.extend(self._pool_by_id.values())
         if self._running_plan is not None:
-            affected.extend(self._running_plan.prompt_requests)
-            affected.extend(self._running_plan.token_requests)
+            # Members withdrawn mid-iteration already left this machine
+            # (restarted or cancelled); one re-admitted here since is
+            # surrendered through the queues above.
+            withdrawn = self._withdrawn_ids
+            for request in self._running_plan.prompt_requests + self._running_plan.token_requests:
+                if request.request_id not in withdrawn:
+                    affected.append(request)
         self.pending_prompts.clear()
         self._token_ready.clear()
         self.in_transfer.clear()
-        self._in_transfer_tokens.clear()
         self._queued_by_id.clear()
         self._pool_by_id.clear()
         self._queued_prompt_tokens = 0
@@ -393,9 +376,6 @@ class SimulatedMachine:
         self._expected_decode_tokens = 0
         self._kv_tokens = 0
         self._running_plan = None
-        self._busy = False
-        self._aging_pending = False
-        self._admitted_during_iteration = 0
         self._withdrawn_ids.clear()
         seen: set[int] = set()
         unique: list[Request] = []
@@ -441,7 +421,7 @@ class SimulatedMachine:
     @property
     def is_busy(self) -> bool:
         """Whether an iteration is currently executing."""
-        return self._busy
+        return self._running_plan is not None
 
     @property
     def pending_prompt_tokens(self) -> int:
@@ -527,20 +507,24 @@ class SimulatedMachine:
 
         Raises:
             AccountingError: if any counter diverged (indicates a missed
-                transition in the incremental accounting).
+                transition in the incremental accounting), or if the
+                in-flight plan and the pending event disagree on whether an
+                iteration is running.
         """
+        if (self._running_plan is None) != (self._event is None):
+            raise AccountingError(f"machine {self.name}: in-flight plan and pending event out of step")
         if self._ff_boundaries is not None:
             self._ff_sync()
         if self._rot_forest is not None:
             # The flat view is dormant while the rotation forest owns the
-            # ordering; rebuild it (and the float boosts) for the cross-check,
+            # ordering; rebuild it (and the boosts) for the cross-check,
             # merging the in-flight selection's extraction back in.
             self._token_ready = PriorityOrderedView(self._rot_forest.flatten(self._rot_selection))
         recounts = {
             "_queued_prompt_tokens": sum(r.prompt_tokens for r in self.pending_prompts),
             "_running_prompt_tokens": self._running_plan.prompt_tokens if self._running_plan else 0,
             "_pool_decode_tokens": sum(r.remaining_tokens for r in self._pool_by_id.values()),
-            "_expected_decode_tokens": sum(self._in_transfer_tokens.values()),
+            "_expected_decode_tokens": sum(self.in_transfer.values()),
             "_kv_tokens": sum(r.context_tokens for r in self._pool_by_id.values()),
         }
         for attribute, expected in recounts.items():
@@ -571,7 +555,7 @@ class SimulatedMachine:
 
     def _kick(self) -> None:
         """Start an iteration if the machine is idle and none is already pending."""
-        if not self._busy and not self._start_scheduled:
+        if self._running_plan is None and not self._start_scheduled:
             self._start_scheduled = True
             self.engine.schedule_after(0.0, self._on_start_event, priority=START_EVENT_PRIORITY, tag=self._start_tag)
 
@@ -580,7 +564,7 @@ class SimulatedMachine:
         self._start_iteration()
 
     def _start_iteration(self) -> None:
-        if self._busy or self.failed:
+        if self._running_plan is not None or self.failed:
             return
         # Oversubscribed steady state: more pool members than batch slots and
         # a prefix-selecting policy.  The rotation forest then orders the
@@ -590,7 +574,6 @@ class SimulatedMachine:
         plan = None
         if (
             self.fast_forward_enabled
-            and not self._withdrawn_ids
             and len(self._pool_by_id) > self.constraints.max_batch_size
             and self.policy.prefix_token_selection
             and (not self.pending_prompts or self.policy.prefix_mixed_composition)
@@ -606,27 +589,24 @@ class SimulatedMachine:
             )
             if plan.is_empty:
                 return
-        self._busy = True
         self._running_plan = plan
-        self._pool_len_at_plan = len(self._pool_by_id)
-        self._admitted_during_iteration = 0
-        self._aging_pending = True
 
         prompt_tokens = plan.prompt_tokens
         token_requests = len(plan.token_requests)
         context_tokens = plan.context_tokens
 
         # Steady-state decode: no prompt work anywhere, the whole pool is in
-        # the batch (so nothing can age), the per-iteration pool-restore hook
-        # is a provable no-op for the whole run, and no mid-iteration
-        # withdrawal is pending.  Every following iteration is then identical
-        # but for its growing context, so the run can be coalesced into one
-        # macro-event.  The pool-restore hook no-ops when the machine sits in
-        # its home pool, and also when a prompt-home machine is borrowed by
-        # the mixed pool: its token pool (non-empty for the whole run) *is*
-        # the foreign work that keeps it borrowed.  A token-home machine in
-        # the mixed pool must not coalesce — with no prompt work left it
-        # would be restored home after the first iteration.
+        # the batch (so nothing can age), and the per-iteration pool-restore
+        # hook is a provable no-op for the whole run.  Every following
+        # iteration is then identical but for its growing context, so the
+        # run can be coalesced into one macro-event.  (No withdrawal is
+        # pending: _withdrawn_ids empties when an iteration ends.)  The
+        # pool-restore hook no-ops when the machine sits in its home pool,
+        # and also when a prompt-home machine is borrowed by the mixed pool:
+        # its token pool (non-empty for the whole run) *is* the foreign work
+        # that keeps it borrowed.  A token-home machine in the mixed pool
+        # must not coalesce — with no prompt work left it would be restored
+        # home after the first iteration.
         if (
             token_requests
             and not plan.prompt_requests
@@ -634,7 +614,6 @@ class SimulatedMachine:
             and self.fast_forward_enabled
             and token_requests == len(self._pool_by_id)
             and (self.role is self.home_role or self.home_role is MachineRole.PROMPT)
-            and not self._withdrawn_ids
             and self._try_fast_forward(plan, token_requests)
         ):
             return
@@ -682,20 +661,15 @@ class SimulatedMachine:
         for request in plan.prompt_requests:
             request.start_prompt(now, self.name)
 
-        self._finish_plan = plan
         self._finish_prompt_latency = prompt_latency
-        self._finish_event = self.engine.schedule_after(
+        self._event = self.engine.schedule_after(
             duration, self._on_finish_event, priority=FINISH_EVENT_PRIORITY, tag=self._finish_tag
         )
 
     def _on_finish_event(self) -> None:
         """Finish the single in-flight iteration (reused bound-method callback)."""
-        plan = self._finish_plan
-        if plan is None:  # pragma: no cover - defensive; _busy gates scheduling
-            return
-        self._finish_plan = None
-        self._finish_event = None
-        self._finish_iteration(plan, self._finish_prompt_latency)
+        self._event = None
+        self._finish_iteration(self._running_plan, self._finish_prompt_latency)
 
     # -- decode fast-forwarding ---------------------------------------------------------
 
@@ -731,14 +705,10 @@ class SimulatedMachine:
             time += duration
             append(time)
 
-        self._ff_plan = plan
         self._ff_durations = durations
         self._ff_energies = energies
         self._ff_boundaries = boundaries
-        self._ff_count = count
-        self._ff_done = 0
-        self._ff_recorded = 0
-        self._ff_event = self.engine.schedule_at(
+        self._event = self.engine.schedule_at(
             boundaries[-1], self._on_macro_event, priority=FINISH_EVENT_PRIORITY, tag=self._macro_tag
         )
         self.fast_forward_runs += 1
@@ -765,13 +735,12 @@ class SimulatedMachine:
             self._ff_commit(done, finished)
             self._ff_done = finished
         started = finished + 1
-        count = self._ff_count
+        count = len(boundaries)
         if started > count:
             started = count
         recorded = self._ff_recorded
         if started > recorded:
-            plan = self._ff_plan
-            n = len(plan.token_requests)
+            n = len(self._running_plan.token_requests)
             self.metrics.record_coalesced(
                 self.name,
                 started - recorded,
@@ -794,7 +763,7 @@ class SimulatedMachine:
         here.  Each member's token times are extended by the committed slice
         of the boundary series.
         """
-        plan = self._ff_plan
+        plan = self._running_plan
         count = stop - start
         times = self._ff_boundaries[start:stop]
         for request in plan.token_requests:
@@ -814,14 +783,13 @@ class SimulatedMachine:
         # Every committed iteration ran without its own queue entry, except
         # the one the macro-event itself finished (when it fired).
         self.engine.note_coalesced(self._ff_done - 1 if fired else self._ff_done)
-        if not fired and self._ff_event is not None:
-            self.engine.cancel(self._ff_event)
-        self._ff_plan = None
+        if not fired and self._event is not None:
+            self.engine.cancel(self._event)
+        self._event = None
         self._ff_boundaries = None
         self._ff_durations = None
         self._ff_energies = None
-        self._ff_event = None
-        self._ff_count = self._ff_done = self._ff_recorded = 0
+        self._ff_done = self._ff_recorded = 0
 
     def _ff_interrupt(self) -> None:
         """Fall back to per-iteration stepping before a pool transition.
@@ -836,37 +804,25 @@ class SimulatedMachine:
             return
         self._ff_sync()
         in_flight = self._ff_done
-        plan = self._ff_plan
-        if in_flight >= self._ff_count:
+        self._ff_clear(fired=False)
+        if in_flight >= len(boundaries):
             # The run is fully committed (the interrupter fired at the final
             # boundary, winning the tie against the macro-event): the machine
             # is idle; re-plan via a fresh kick once the caller's transition
             # lands.
-            self._ff_clear(fired=False)
-            self._busy = False
             self._running_plan = None
-            self._aging_pending = False
-            self._admitted_during_iteration = 0
             self._kick()
             return
-        end_time = boundaries[in_flight]
-        self._ff_clear(fired=False)
-        self._finish_plan = plan
-        self._finish_prompt_latency = 0.0
-        self._finish_event = self.engine.schedule_at(
-            end_time, self._on_finish_event, priority=FINISH_EVENT_PRIORITY, tag=self._finish_tag
+        # The plan is decode-only, so its finish needs no prompt latency.
+        self._event = self.engine.schedule_at(
+            boundaries[in_flight], self._on_finish_event, priority=FINISH_EVENT_PRIORITY, tag=self._finish_tag
         )
 
     def _on_macro_event(self) -> None:
         """Finish a completed steady-state run and re-plan."""
-        if self.failed or self._ff_boundaries is None:  # pragma: no cover - defensive
-            return
         self._ff_sync()  # now == final boundary: commits the whole run
         self._ff_clear(fired=True)
-        self._busy = False
         self._running_plan = None
-        self._aging_pending = False
-        self._admitted_during_iteration = 0
         self._start_iteration()
 
     # -- oversubscribed-pool rotation ----------------------------------------------------
@@ -876,17 +832,15 @@ class SimulatedMachine:
 
         Prompts are admitted by the policy's own FCFS rule and the forest
         selects the token batch over the remaining slots, so the plan is
-        the one the policy would return.  None sends the iteration down the
-        policy path, with the admission undone and the forest flattened:
-        the pool carries a non-integer boost (external writer), or the KV
-        budget would make the policy skip a member.
+        the one the policy would return.  The forest declines only when the
+        KV budget would make the policy skip a member: None then sends the
+        iteration down the policy path, with the admission undone and the
+        forest flattened.
         """
         forest = self._rot_forest
         fresh = forest is None
         if fresh:
             forest = RotationForest.from_ordered_view(self._token_ready)
-            if forest is None:
-                return None
         constraints = self.constraints
         pending = self.pending_prompts
         prompts, prompt_tokens = BatchingPolicy._select_prompts_with_total(
@@ -912,7 +866,7 @@ class SimulatedMachine:
         )
 
     def _flatten_forest(self) -> None:
-        """Hand the pool back to the flat priority view (+ float boosts)."""
+        """Hand the pool back to the flat priority view (boosts written back)."""
         self._token_ready = PriorityOrderedView(self._rot_forest.flatten(self._rot_selection))
         self._rot_forest = None
         self._rot_selection = None
@@ -935,9 +889,6 @@ class SimulatedMachine:
         batch = selection.requests()  # the running plan's token list
         selected = {id(request) for request in batch}
         batch[:] = [request for request in self._token_ready if id(request) in selected]
-        # The flat aging pass counts the members the forest admitted
-        # mid-iteration among the skipped.
-        self._pool_len_at_plan = len(self._pool_by_id)
 
     def sync_fast_forward(self) -> None:
         """Materialize any coalesced-but-uncommitted iterations up to now.
@@ -945,7 +896,7 @@ class SimulatedMachine:
         Cluster drivers call this after a horizon-limited run so that partial
         results match what per-iteration stepping would have produced by the
         same simulated time.  A rotation forest is flattened back so its
-        float boosts and flat view are materialized for post-run readers.
+        boosts and flat view are materialized for post-run readers.
         A no-op when nothing is coalesced.
         """
         self._ff_sync()
@@ -999,7 +950,7 @@ class SimulatedMachine:
                 if id(request) in selected_ids:
                     kept.append(request)
                 else:
-                    request.priority_boost += 1.0
+                    request.priority_boost += 1
                     boosted.append(request)
         else:
             index = 0
@@ -1012,7 +963,7 @@ class SimulatedMachine:
                     kept.append(request)
                     index += 1
                 else:
-                    request.priority_boost += 1.0
+                    request.priority_boost += 1
                     boosted.append(request)
         if not kept or not boosted:
             return  # a uniformly shifted (or untouched) pool keeps its order
@@ -1039,11 +990,7 @@ class SimulatedMachine:
         return max(factors)
 
     def _finish_iteration(self, plan: BatchPlan, prompt_latency: float) -> None:
-        if self.failed:
-            # The machine died mid-iteration; its results are lost.
-            return
         now = self.engine.now
-        self._busy = False
         self._running_plan = None
         self._running_prompt_tokens = 0
 
@@ -1098,9 +1045,10 @@ class SimulatedMachine:
         # Aging: requests left out of this iteration gain priority so that
         # preemption (on mixed machines) cannot starve them (§IV-B).  A
         # rotation forest ages its skipped members (and drops the completers)
-        # in O(batch).  On the flat view the skipped count is derived O(1)
-        # from the pool size at planning time; in the common fully-batched
-        # case there is nothing to age.
+        # in O(batch).  On the flat view, once the completers leave it,
+        # anyone beyond the batch's survivors was skipped at planning or
+        # admitted since; in the common fully-batched case there is nothing
+        # to age.
         forest = self._rot_forest
         if forest is not None:
             forest.commit_aging(self._rot_selection, completed)
@@ -1108,13 +1056,10 @@ class SimulatedMachine:
         else:
             for request in completed:
                 self._remove_ready(request)
-            skipped = self._pool_len_at_plan - len(plan.token_requests) + self._admitted_during_iteration
-            if skipped:
+            if len(self._token_ready) > generated_count - len(completed):
                 self._age_skipped(plan)
-        self._aging_pending = False
-        self._admitted_during_iteration = 0
-        if self._withdrawn_ids:
-            self._withdrawn_ids.clear()
+        if withdrawn:
+            withdrawn.clear()
 
         if self.on_iteration_complete is not None:
             self.on_iteration_complete(self)

@@ -93,7 +93,7 @@ class FaultInjector:
         counts = self.fired if fired else self.skipped
         counts[injection.kind] = counts.get(injection.kind, 0) + 1
         if self.fleet.obs is not None:
-            self.fleet.obs.note_injection(
+            self.fleet.obs.recorder.note_injection(
                 injection.kind, injection.target, fired, self.fleet.engine.now
             )
 

@@ -523,7 +523,7 @@ class FleetSimulation:
                     # without offloading anything.
                     self.lifecycle.degrade_admission(request)
                     if self.obs is not None:
-                        self.obs.note_degraded_admission(request, self.engine.now)
+                        self.obs.recorder.note_degraded_admission(request, self.engine.now)
                 else:
                     # Over this tenant's headroom: reject up front instead
                     # of queueing.  Evacuated requests being re-routed
@@ -536,7 +536,7 @@ class FleetSimulation:
                         self.shed_by_tenant.get(request.tenant, 0) + 1
                     )
                     if self.obs is not None:
-                        self.obs.note_shed(request, self.engine.now)
+                        self.obs.recorder.note_shed(request, self.engine.now)
                     if self._completed + self._shed + self._expired >= self._expected:
                         self._stop_controllers()
                     return
@@ -549,7 +549,7 @@ class FleetSimulation:
         cluster = self.router.route(request, exclude=exclude)
         cluster.requests.append(request)
         if self.obs is not None:
-            self.obs.note_route(request, cluster.name, self.engine.now, "route")
+            self.obs.recorder.note_route(request, cluster.name, self.engine.now, "route")
         cluster.scheduler.submit(request)
         if self.lifecycle is not None:
             self.lifecycle.on_routed(request, cluster.name)
@@ -559,7 +559,7 @@ class FleetSimulation:
         if self.obs is not None:
             # ``Request.expire`` stores no timestamp, so the expiry instant
             # must be captured here, while the engine clock still holds it.
-            self.obs.note_expired(request, self.engine.now)
+            self.obs.recorder.note_expired(request, self.engine.now)
         self._expired += 1
         self.expired_by_tenant[request.tenant] = (
             self.expired_by_tenant.get(request.tenant, 0) + 1
@@ -578,27 +578,14 @@ class FleetSimulation:
         """
         cluster.available = False
         if self.obs is not None:
-            self.obs.note_outage(cluster.name, True, self.engine.now)
-        evacuated = cluster.scheduler.evacuate()
-        self.router.note_evacuated(cluster.name, evacuated)
-        if evacuated:
-            evacuated_ids = {id(request) for request in evacuated}
-            cluster.requests = [
-                request for request in cluster.requests if id(request) not in evacuated_ids
-            ]
-            for request in evacuated:
-                if self.lifecycle is not None:
-                    # Already withdrawn from the router's books and the
-                    # roster above; the coordinator decides retry vs expire.
-                    self.lifecycle.on_attempt_failed(cluster.name, request, accounted=True)
-                else:
-                    self._submit(request, readmit=True)
+            self.obs.recorder.note_outage(cluster.name, True, self.engine.now)
+        self._reroute(cluster, cluster.scheduler.evacuate())
 
     def end_outage(self, cluster: FleetCluster) -> None:
         """Bring an outaged cluster back: repair done, machines rejoin empty."""
         cluster.available = True
         if self.obs is not None:
-            self.obs.note_outage(cluster.name, False, self.engine.now)
+            self.obs.recorder.note_outage(cluster.name, False, self.engine.now)
         cluster.scheduler.recover_all()
 
     def revoke_cluster(self, cluster: FleetCluster) -> None:
@@ -611,23 +598,32 @@ class FleetSimulation:
         the provisioner may re-rent it at full cold-start price.
         """
         evacuated = cluster.scheduler.evacuate()
-        self.router.note_evacuated(cluster.name, evacuated)
         cluster.scheduler.recover_all()
+        # Unroutable before its requests reroute, so none lands back here.
         if self.provisioner is not None:
             self.provisioner.revoke(cluster, "spot revocation")
         else:
             cluster.state = ClusterState.COLD
             cluster.routable = False
-        if evacuated:
-            evacuated_ids = {id(request) for request in evacuated}
-            cluster.requests = [
-                request for request in cluster.requests if id(request) not in evacuated_ids
-            ]
-            for request in evacuated:
-                if self.lifecycle is not None:
-                    self.lifecycle.on_attempt_failed(cluster.name, request, accounted=True)
-                else:
-                    self._submit(request, readmit=True)
+        self._reroute(cluster, evacuated)
+
+    def _reroute(self, cluster: FleetCluster, evacuated: list[Request]) -> None:
+        """Withdraw requests evacuated from ``cluster`` and route them again.
+
+        They leave the router's books and the cluster's roster; then the
+        lifecycle coordinator decides retry vs expire, or, without one, each
+        is readmitted across the routable clusters.
+        """
+        self.router.note_evacuated(cluster.name, evacuated)
+        if not evacuated:
+            return
+        evacuated_ids = {id(request) for request in evacuated}
+        cluster.requests = [request for request in cluster.requests if id(request) not in evacuated_ids]
+        for request in evacuated:
+            if self.lifecycle is not None:
+                self.lifecycle.on_attempt_failed(cluster.name, request, accounted=True)
+            else:
+                self._submit(request, readmit=True)
 
     # -- running -----------------------------------------------------------------------
 

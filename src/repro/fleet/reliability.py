@@ -420,7 +420,7 @@ class ReliabilityCoordinator:
             lifecycle.hedge_cluster = None
             lifecycle.primary_cluster = cluster_name
             if self.fleet.obs is not None:
-                self.fleet.obs.note_hedge_won(primary, cluster_name, self.fleet.engine.now)
+                self.fleet.obs.recorder.note_hedge_won(primary, cluster_name, self.fleet.engine.now)
             return primary
         lifecycle = self._by_id.get(request_id)
         if lifecycle is None:
@@ -512,7 +512,7 @@ class ReliabilityCoordinator:
         )
         self.retries_scheduled += 1
         if self.fleet.obs is not None:
-            self.fleet.obs.note_retry_scheduled(request, delay, self.fleet.engine.now)
+            self.fleet.obs.recorder.note_retry_scheduled(request, delay, self.fleet.engine.now)
 
     def _fire_retry(self, lifecycle: _Lifecycle) -> None:
         lifecycle.retry_event = None
@@ -641,7 +641,7 @@ class ReliabilityCoordinator:
         if fleet.obs is not None:
             # ``on_routed`` (called inside ``_submit_attempt``) has recorded
             # where the clone landed by now.
-            fleet.obs.note_hedge(request, lifecycle.hedge_cluster or "", fleet.engine.now)
+            fleet.obs.recorder.note_hedge(request, lifecycle.hedge_cluster or "", fleet.engine.now)
 
     # -- internals ---------------------------------------------------------------------
 

@@ -172,7 +172,6 @@ class MachineStats:
 
     Attributes:
         busy_time_s: Time spent executing non-empty iterations.
-        idle_time_s: Time spent with no work (derived at report time).
         energy_wh: GPU energy consumed across all iterations.
         iterations: Number of iterations executed.
         prompt_tokens_processed: Total prompt tokens processed.
@@ -181,7 +180,6 @@ class MachineStats:
     """
 
     busy_time_s: float = 0.0
-    idle_time_s: float = 0.0
     energy_wh: float = 0.0
     iterations: int = 0
     prompt_tokens_processed: int = 0
@@ -287,7 +285,6 @@ class MetricsCollector:
         return {
             name: {
                 "busy_time_s": stats.busy_time_s,
-                "idle_time_s": stats.idle_time_s,
                 "energy_wh": stats.energy_wh,
                 "iterations": stats.iterations,
                 "prompt_tokens_processed": stats.prompt_tokens_processed,
@@ -307,7 +304,6 @@ class MetricsCollector:
         for name, row in exported.items():
             stats = self._machines[name]
             stats.busy_time_s = row["busy_time_s"]
-            stats.idle_time_s = row["idle_time_s"]
             stats.energy_wh = row["energy_wh"]
             stats.iterations = row["iterations"]
             stats.prompt_tokens_processed = row["prompt_tokens_processed"]

@@ -31,7 +31,6 @@ from repro.obs.spans import SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (fleet layers above obs)
     from repro.fleet.fleet import FleetResult, FleetSimulation
-    from repro.simulation.request import Request
 
 
 @dataclass(frozen=True)
@@ -45,24 +44,25 @@ class ObservabilityConfig:
             anything else JSONL, and a ``.prom`` Prometheus snapshot is
             written alongside.
         interval_s: Simulated seconds between metrics samples.
-        spans: Record lifecycle/control spans.
-        metrics: Run the metrics ticker.
     """
 
     trace_path: str | None = None
     metrics_path: str | None = None
     interval_s: float = DEFAULT_TICK_INTERVAL_S
-    spans: bool = True
-    metrics: bool = True
 
 
 class ObservabilityPlane:
-    """Span recorder + metrics ticker bound to one fleet simulation."""
+    """Span recorder + metrics ticker bound to one fleet simulation.
+
+    The fleet layers record spans straight into :attr:`recorder`
+    (``fleet.obs.recorder.note_*``), each behind its ``fleet.obs is not
+    None`` guard.
+    """
 
     def __init__(self, config: ObservabilityConfig) -> None:
         self.config = config
-        self.recorder: SpanRecorder | None = SpanRecorder() if config.spans else None
-        self.registry: MetricsRegistry | None = MetricsRegistry() if config.metrics else None
+        self.recorder = SpanRecorder()
+        self.registry = MetricsRegistry()
         self.ticker: MetricsTicker | None = None
         self._census: dict[str, int] = {}
         self._finalized = False
@@ -71,11 +71,10 @@ class ObservabilityPlane:
 
     def begin(self, fleet: "FleetSimulation") -> None:
         """Arm per-run recording (called at the top of ``FleetSimulation.run``)."""
-        if self.registry is not None:
-            self.ticker = MetricsTicker(fleet, self.registry, self.config.interval_s)
-            self.ticker.start()
-        if self.recorder is not None and fleet.router.reliability is not None:
-            fleet.router.observe_health(self._on_health_transition)
+        self.ticker = MetricsTicker(fleet, self.registry, self.config.interval_s)
+        self.ticker.start()
+        if fleet.router.reliability is not None:
+            fleet.router.observe_health(self.recorder.note_health_transition)
 
     def stop_ticker(self) -> None:
         """Stop sampling; called when the fleet census closes.
@@ -92,57 +91,14 @@ class ObservabilityPlane:
         if self._finalized:
             return
         self._finalized = True
-        if self.recorder is not None:
-            self._census = self.recorder.record_result(result)
-
-    # -- span hook forwarding (every caller guards on ``fleet.obs is not None``) -------
-
-    def _on_health_transition(self, cluster_name: str, state: str, now: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_health_transition(cluster_name, state, now)
-
-    def note_route(self, request: "Request", cluster_name: str, time_s: float, kind: str) -> None:
-        if self.recorder is not None:
-            self.recorder.note_route(request, cluster_name, time_s, kind)
-
-    def note_shed(self, request: "Request", time_s: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_shed(request, time_s)
-
-    def note_degraded_admission(self, request: "Request", time_s: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_degraded_admission(request, time_s)
-
-    def note_expired(self, request: "Request", time_s: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_expired(request, time_s)
-
-    def note_retry_scheduled(self, request: "Request", delay_s: float, time_s: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_retry_scheduled(request, delay_s, time_s)
-
-    def note_hedge(self, request: "Request", cluster_name: str, time_s: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_hedge(request, cluster_name, time_s)
-
-    def note_hedge_won(self, request: "Request", cluster_name: str, time_s: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_hedge_won(request, cluster_name, time_s)
-
-    def note_injection(self, kind: str, target: str, fired: bool, time_s: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_injection(kind, target, fired, time_s)
-
-    def note_outage(self, cluster_name: str, start: bool, time_s: float) -> None:
-        if self.recorder is not None:
-            self.recorder.note_outage(cluster_name, start, time_s)
+        self._census = self.recorder.record_result(result)
 
     # -- exports -----------------------------------------------------------------------
 
     @property
     def span_count(self) -> int:
-        """Spans recorded (0 when span recording is off)."""
-        return self.recorder.span_count if self.recorder is not None else 0
+        """Spans recorded."""
+        return self.recorder.span_count
 
     def census(self) -> dict[str, int]:
         """Root-span outcomes derived at :meth:`finalize` (empty before it)."""
@@ -153,16 +109,16 @@ class ObservabilityPlane:
         provenance: dict[str, Any] = {
             "trace_path": self.config.trace_path,
             "metrics_path": self.config.metrics_path,
-            "ticker_interval_s": self.config.interval_s if self.registry is not None else None,
+            "ticker_interval_s": self.config.interval_s,
             "span_count": self.span_count,
-            "metric_samples": self.registry.num_samples if self.registry is not None else 0,
+            "metric_samples": self.registry.num_samples,
             "span_census": dict(self._census),
         }
-        if self.recorder is not None and self.config.trace_path is not None:
+        if self.config.trace_path is not None:
             payload = export_trace(self.recorder, self.config.trace_path)
             provenance["trace_events"] = len(payload["traceEvents"])
             provenance["span_census"] = span_census(payload)
-        if self.registry is not None and self.config.metrics_path is not None:
+        if self.config.metrics_path is not None:
             path = self.config.metrics_path
             if path.endswith(".csv"):
                 text = self.registry.to_csv()

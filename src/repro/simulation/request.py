@@ -68,8 +68,9 @@ class Request:
         generated_tokens: Number of output tokens produced so far.
         kv_transfer_start: When the KV-cache transfer began.
         kv_transfer_end: When the KV-cache transfer finished.
-        priority_boost: Scheduling priority accumulated through aging (used by
-            mixed machines to avoid starvation after preemption).
+        priority_boost: Number of iterations the request was left out of its
+            batch (aging, §IV-B: it raises the request's priority so mixed
+            machines cannot starve it after preemption).
         restarts: Number of times the request was restarted from scratch after
             a machine failure (§IV-E: Splitwise restarts failed requests).
         shed: Whether fleet admission control rejected the request up front
@@ -128,7 +129,7 @@ class Request:
         self.generated_tokens = 0
         self.kv_transfer_start: float | None = None
         self.kv_transfer_end: float | None = None
-        self.priority_boost = 0.0
+        self.priority_boost = 0
         self.restarts = 0
         self.shed = False
         self.ttft_deadline_s = descriptor.ttft_deadline_s
@@ -275,7 +276,7 @@ class Request:
         self.generated_tokens = 0
         self.kv_transfer_start = None
         self.kv_transfer_end = None
-        self.priority_boost = 0.0
+        self.priority_boost = 0
         self.restarts += 1
 
     # -- latency metrics ------------------------------------------------------------

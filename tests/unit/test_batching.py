@@ -14,6 +14,10 @@ from repro.batching.policies import (
     RequestLevelBatching,
     make_policy,
 )
+from repro.core.cluster import ClusterSimulation
+from repro.core.designs import baseline_h100, splitwise_hh
+from repro.metrics.collectors import census
+from repro.workload.generator import generate_trace
 
 
 def _request(make_request, request_id, prompt=100, output=4, arrival=0.0):
@@ -168,6 +172,20 @@ class TestRequestLevelBatching:
         foreign = _decoding(make_request, 99)
         plan = policy.plan_iteration(pending, [member, foreign], BatchConstraints())
         assert foreign not in plan.token_requests
+
+    def test_split_design_rejected(self):
+        # A Splitwise token machine receives its requests by KV transfer,
+        # never through the prompt queue this policy batches from, so it
+        # would strand them.
+        with pytest.raises(ValueError, match="Splitwise-HH"):
+            ClusterSimulation(splitwise_hh(1, 1), batching="request-level")
+        with pytest.raises(ValueError, match="request-level"):
+            ClusterSimulation(splitwise_hh(1, 1), batching="Request-Level")
+
+    def test_unsplit_design_drains(self):
+        trace = generate_trace("conversation", rate_rps=2.0, duration_s=10.0, seed=0)
+        result = ClusterSimulation(baseline_h100(1), batching="request-level").run(trace)
+        assert census(result.requests)["completed"] == len(trace)
 
 
 class TestPolicyFactory:

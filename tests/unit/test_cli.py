@@ -116,6 +116,32 @@ class TestSimulateCommand:
         capsys.readouterr()
 
 
+class TestErrorBoundary:
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--rate", "-1"],
+        ["simulate", "--duration", "0"],
+        ["simulate", "--model", "Foo"],
+        ["simulate", "--trace", "/nonexistent/trace.csv"],
+        ["simulate", "--failures", "soon:prompt-0"],
+        ["trace", "--rate", "0", "-o", "unused.csv"],
+        ["scenario", "--scale", "-1"],
+        ["fleet", "--clusters", "0"],
+        ["fleet", "--parallel", "0"],
+        ["provision", "--rate", "0"],
+    ])
+    def test_bad_input_prints_one_error_line(self, args, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_key_error_text_has_no_repr_quotes(self, capsys):
+        assert main(["simulate", "--model", "Foo"]) == 1
+        assert capsys.readouterr().err.startswith("error: Unknown model 'Foo'")
+
+
 class TestScenarioCommand:
     def test_diurnal_preset_prints_slo_and_machine_hours(self, capsys):
         code = main(["scenario", "--preset", "diurnal", "--scale", "0.5", "--seed", "1"])

@@ -258,3 +258,60 @@ class TestInlinedProbeMirrors:
         assert pool.least_decode_loaded() is generic_decode
         generic_prompt = min(pool.machines, key=lambda m: (prompt_queue_load(m), m.name))
         assert pool.least_prompt_loaded() is generic_prompt
+
+
+class TestPoolPlacement:
+    """Park/unpark, retarget, fail/recover and evacuate keep each pool's order."""
+
+    def test_pool_members_and_order_through_every_placement(self):
+        engine = SimulationEngine()
+        metrics = MetricsCollector()
+        machines = [_machine(f"prompt-{i}", engine, MachineRole.PROMPT, metrics) for i in range(3)]
+        machines += [_machine(f"token-{i}", engine, MachineRole.TOKEN, metrics) for i in range(3)]
+        scheduler = ClusterScheduler(engine=engine, machines=machines, model=LLAMA2_70B, split=True)
+        by_name = {machine.name: machine for machine in machines}
+
+        def pools():
+            return tuple(
+                [machine.name for machine in pool]
+                for pool in (scheduler.prompt_pool, scheduler.token_pool, scheduler.mixed_pool, scheduler.parked_pool)
+            )
+
+        def borrow(name, new_home, request_id):
+            # Work foreign to the new home pulls the machine into the mixed pool.
+            by_name[name].enqueue_prompt(_request(request_id, prompt=256, output=1))
+            scheduler.retarget_home(by_name[name], new_home)
+
+        scheduler.park_machine(by_name["prompt-1"])
+        scheduler.park_machine(by_name["token-0"])
+        assert pools() == (["prompt-0", "prompt-2"], ["token-1", "token-2"], [], ["prompt-1", "token-0"])
+        scheduler.unpark_machine(by_name["prompt-1"])
+        scheduler.unpark_machine(by_name["token-0"])
+        assert pools() == (["prompt-0", "prompt-2", "prompt-1"], ["token-1", "token-2", "token-0"], [], [])
+        scheduler.retarget_home(by_name["token-1"], MachineRole.PROMPT)
+        assert pools() == (["prompt-0", "prompt-2", "prompt-1", "token-1"], ["token-2", "token-0"], [], [])
+        borrow("prompt-2", MachineRole.TOKEN, 0)
+        assert pools() == (["prompt-0", "prompt-1", "token-1"], ["token-2", "token-0"], ["prompt-2"], [])
+        assert by_name["prompt-2"].role is MachineRole.MIXED
+        engine.run()
+        assert pools() == (["prompt-0", "prompt-1", "token-1"], ["token-2", "token-0", "prompt-2"], [], [])
+        assert by_name["prompt-2"].role is MachineRole.TOKEN
+
+        scheduler.fail_machine("prompt-0")
+        assert pools() == (["prompt-1", "token-1"], ["token-2", "token-0", "prompt-2"], [], [])
+        scheduler.recover_machine("prompt-0")
+        assert pools() == (["prompt-1", "token-1", "prompt-0"], ["token-2", "token-0", "prompt-2"], [], [])
+        assert by_name["prompt-0"].role is MachineRole.PROMPT
+
+        scheduler.fail_machine("token-2")
+        borrow("prompt-1", MachineRole.TOKEN, 1)
+        scheduler.park_machine(by_name["token-0"])
+        assert pools() == (["token-1", "prompt-0"], ["prompt-2"], ["prompt-1"], ["token-0"])
+        scheduler.evacuate()
+        assert pools() == ([], [], [], [])
+        assert [machine.name for machine in scheduler.failed_machines] == [
+            "token-2", "token-1", "prompt-0", "prompt-2", "prompt-1", "token-0",
+        ]
+        scheduler.recover_all()
+        assert pools() == (["token-1", "prompt-0"], ["token-2", "prompt-2", "prompt-1", "token-0"], [], [])
+        assert all(machine.role is machine.home_role for machine in machines)

@@ -8,6 +8,7 @@ from repro.core.cluster import ClusterSimulation
 from repro.core.designs import baseline_h100, splitwise_hh
 from repro.core.kv_transfer import KVTransferModel
 from repro.hardware.interconnect import INFINIBAND_400
+from repro.metrics.collectors import census
 from repro.models.llm import LLAMA2_70B
 from repro.simulation.request import RequestPhase
 from repro.workload.generator import generate_trace
@@ -109,6 +110,33 @@ class TestClusterLevelRecovery:
             r.prompt_machine == "prompt-0" and r.prompt_start_time > 5.0
             for r in result.completed_requests
         )
+
+    def test_failure_does_not_restart_a_request_cancelled_mid_iteration(self):
+        # Regression: fail() surrendered every member of the running plan,
+        # including one a deadline had just withdrawn from it, so the
+        # scheduler reset and resubmitted an expired request, which then
+        # completed as well and the census did not close.
+        simulation = ClusterSimulation(splitwise_hh(1, 2))
+        trace = generate_trace("conversation", rate_rps=4.0, duration_s=5.0, seed=3)
+        cancelled = []
+
+        def expire_then_fail():
+            scheduler = simulation.scheduler
+            plan = scheduler.find_machine("token-0")._running_plan
+            assert plan is not None and plan.token_requests
+            request = plan.token_requests[0]
+            scheduler.cancel_request(request)
+            request.expire(simulation.engine.now)
+            cancelled.append(request)
+            assert request not in scheduler.fail_machine("token-0")
+
+        simulation.engine.schedule_at(3.0, expire_then_fail)
+        result = simulation.run(trace)
+        (request,) = cancelled
+        assert request.expired and not request.is_complete and request.restarts == 0
+        assert census(result.requests) == {
+            "submitted": len(trace), "completed": len(trace) - 1, "shed": 0, "expired": 1, "degraded": 0,
+        }
 
     def test_restarted_requests_pay_a_latency_penalty(self, failure_trace):
         clean = ClusterSimulation(splitwise_hh(2, 2)).run(failure_trace)

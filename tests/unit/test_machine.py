@@ -455,3 +455,112 @@ class TestDecodeFastForward:
         assert not machine.performance._token_cache
         engine.run()
         assert machine.metrics.machine_stats("t0").tokens_generated > 0
+
+
+def _decoding(request_id: int, output: int = 12, arrival: float = 0.0) -> Request:
+    """A request whose prompt already ran elsewhere, ready for a token pool."""
+    request = _request(request_id, prompt=200, output=output, arrival=arrival)
+    request.start_prompt(0.0, "p")
+    request.finish_prompt(0.0)
+    return request
+
+
+class TestInFlightRecord:
+    """One in-flight iteration per machine: its plan and its one pending event."""
+
+    @staticmethod
+    def _in_flight(machine, tag):
+        assert machine.is_busy
+        assert machine._event is not None and machine._event.live
+        assert machine._event.tag == f"t0:{tag}"
+        machine.verify_accounting()
+
+    @staticmethod
+    def _idle(machine):
+        assert not machine.is_busy
+        assert machine._event is None
+        machine.verify_accounting()
+
+    def test_per_iteration_finish(self, engine):
+        machine = _decode_pool_machine(engine, [3, 3], fast_forward=False)
+        engine.step()  # start event
+        self._in_flight(machine, "finish")
+        first = machine._event
+        engine.step()  # finish, which starts the next iteration inline
+        self._in_flight(machine, "finish")
+        assert machine._event is not first and not first.live
+        engine.run()
+        self._idle(machine)
+
+    def test_fast_forward_run(self, engine):
+        machine = _decode_pool_machine(engine, [12, 16])
+        engine.step()
+        self._in_flight(machine, "macro")
+        assert machine.fast_forward_runs == 1
+        engine.run()
+        self._idle(machine)
+
+    def test_fast_forward_interrupt_keeps_the_in_flight_iteration(self, engine):
+        machine = _decode_pool_machine(engine, [12, 16])
+        engine.run(until=0.2)
+        macro = machine._event
+        assert macro.tag == "t0:macro" and macro.live
+        machine.enqueue_prompt(_request(50, prompt=100, output=2))
+        assert machine._ff_boundaries is None and not macro.live
+        self._in_flight(machine, "finish")
+        engine.run()
+        self._idle(machine)
+
+    def test_rotation_interrupt_keeps_the_finish_event(self, engine):
+        machine = _decode_pool_machine(engine, [10] * 6, max_batch_size=4)
+        engine.step()
+        assert machine._rot_forest is not None
+        finish = machine._event
+        machine.withdraw(machine.find_queued(5))
+        assert machine._rot_forest is None
+        self._in_flight(machine, "finish")
+        assert machine._event is finish
+        engine.run()
+        self._idle(machine)
+
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_fail_drops_the_in_flight_iteration(self, engine, fast_forward):
+        machine = _decode_pool_machine(engine, [12, 16], fast_forward=fast_forward)
+        engine.step()
+        pending = machine._event
+        assert {r.request_id for r in machine.fail()} == {0, 1}
+        assert not pending.live
+        self._idle(machine)
+        engine.run()
+        assert machine._event is None
+
+    def test_recount_catches_plan_without_event(self, engine):
+        machine = _decode_pool_machine(engine, [3, 3], fast_forward=False)
+        engine.step()
+        machine._event = None
+        with pytest.raises(AccountingError, match="out of step"):
+            machine.verify_accounting()
+
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_member_admitted_mid_iteration_is_aged_at_its_finish(self, engine, fast_forward):
+        """The whole pool is batched; only the newcomer was left out of it."""
+        machine = _decode_pool_machine(engine, [12, 12], fast_forward=fast_forward, max_batch_size=4)
+        engine.step()
+        late = _decoding(99, arrival=0.5)
+        machine.admit_token_request(late)
+        engine.step()  # the in-flight iteration's finish
+        assert late.priority_boost == 1
+        assert [r.priority_boost for r in (machine.find_queued(0), machine.find_queued(1))] == [0, 0]
+        assert late.generated_tokens == 1  # no token from the iteration it missed
+
+    def test_member_admitted_after_rotation_interrupt_is_aged_at_its_finish(self, engine):
+        """Withdrawing the one skipped member flattens the forest mid-iteration."""
+        machine = _decode_pool_machine(engine, [12] * 5, max_batch_size=4)
+        engine.step()
+        assert machine._rot_forest is not None
+        machine.withdraw(machine.find_queued(4))
+        late = _decoding(99, arrival=0.5)
+        machine.admit_token_request(late)
+        engine.step()
+        assert late.priority_boost == 1
+        assert [machine.find_queued(i).priority_boost for i in range(4)] == [0, 0, 0, 0]

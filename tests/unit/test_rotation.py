@@ -17,7 +17,7 @@ from repro.simulation.request import Request
 from repro.workload.trace import RequestDescriptor
 
 
-def _request(request_id: int, arrival: float, boost: float = 0.0, prompt: int = 100, output: int = 50) -> Request:
+def _request(request_id: int, arrival: float, boost: int = 0, prompt: int = 100, output: int = 50) -> Request:
     request = Request(
         descriptor=RequestDescriptor(
             request_id=request_id, arrival_time_s=arrival, prompt_tokens=prompt, output_tokens=output
@@ -43,7 +43,7 @@ def _service(selection) -> list[Request]:
 
 def _ordered_pool(count: int, rng: random.Random) -> list[Request]:
     pool = [
-        _request(i, arrival=rng.random() * 10.0, boost=float(rng.randrange(4)), output=rng.randrange(5, 60))
+        _request(i, arrival=rng.random() * 10.0, boost=rng.randrange(4), output=rng.randrange(5, 60))
         for i in range(count)
     ]
     pool.sort(key=priority_key)
@@ -55,13 +55,8 @@ class TestRotationForest:
         rng = random.Random(1)
         pool = _ordered_pool(50, rng)
         forest = RotationForest.from_ordered_view(pool)
-        assert forest is not None
         assert forest.total_size() == 50
         assert forest.flatten() == pool
-
-    def test_non_integer_boosts_are_rejected(self):
-        pool = [_request(0, 1.0, boost=0.5)]
-        assert RotationForest.from_ordered_view(pool) is None
 
     def test_selection_is_the_view_prefix(self):
         rng = random.Random(2)
@@ -95,7 +90,7 @@ class TestRotationForest:
             # Flat reference: everyone skipped gains +1.
             for request_id in mirror:
                 if request_id not in selected_ids:
-                    mirror[request_id] += 1.0
+                    mirror[request_id] += 1
             forest.commit_aging(selection, _service(selection))
         flat = forest.flatten()
         assert [r.request_id for r in flat] == [
@@ -138,7 +133,7 @@ class TestRotationForest:
         """Completers leave with their served boost; every cache matches a recount."""
         rng = random.Random(7)
         pool = [
-            _request(i, arrival=rng.random() * 10.0, boost=float(rng.randrange(4)), output=rng.randrange(1, 6))
+            _request(i, arrival=rng.random() * 10.0, boost=rng.randrange(4), output=rng.randrange(1, 6))
             for i in range(40)
         ]
         pool.sort(key=priority_key)
@@ -149,7 +144,7 @@ class TestRotationForest:
             for request in forest.flatten():
                 served_boost[id(request)] = request.priority_boost
                 # Only commit_aging's write-back may restore a completer's boost.
-                request.priority_boost = -1.0
+                request.priority_boost = -1
             selection = forest.select(6, 10**9)
             if selection is None or not selection.requests():
                 break
