@@ -9,6 +9,12 @@ so queues grow into the hundreds), a day-scale diurnal trace under the pool
 autoscaler, a mixed-tenant fleet behind the burst provisioner, and a
 5-cluster fleet run serially and sharded across 4 workers.
 
+``sim_time_s`` cannot see a drifted boost or token time, so each
+single-process scenario also pins a digest of its simulated state: the
+engine counters, the machines' summed coalescing counters, and sha256
+prefixes over every request's token times and outcome and over every
+cluster's machine stats and token-log boundaries.
+
 Nothing here is timed and no file is written: wall-clock performance is
 measured by ``perfbench/`` alone.  The module lives under ``benchmarks/``
 so the ``REPRO_DEBUG_ACCOUNTING=1`` rerun of ``tests/`` does not recount
@@ -18,6 +24,7 @@ the 40-machine burst on every queue-metric read.
 from __future__ import annotations
 
 import functools
+import hashlib
 
 import pytest
 
@@ -83,6 +90,51 @@ EXPECTED_SIM_TIME = {
 }
 
 
+#: Simulated-state digest of each single-process scenario (the sharded run's
+#: engines live in its workers): events, cancelled, coalesced and heap
+#: compactions of the engine; summed ``fast_forward_runs`` and
+#: ``rotation_runs``; the requests and machine-stats hash prefixes.
+DIGEST_FIELDS = (
+    "events", "cancelled", "coalesced", "compactions",
+    "fast_forward_runs", "rotation_runs", "requests", "machine_stats",
+)
+EXPECTED_DIGEST = {
+    "4-machine": (10_606, 6, 3_559, 0, 189, 6, "b24fc7ea670e01a0", "839ca8b6b2ecc2a2"),
+    "16-machine": (41_770, 29, 13_603, 0, 789, 24, "f72dcc333f062218", "c4f0b35c55bc864f"),
+    "40-machine": (105_986, 75, 35_200, 0, 1_948, 62, "81a67f1fcc9abac2", "788d2de6db102499"),
+    "diurnal-autoscale": (19_351, 2_495, 55_130, 0, 4_536, 0, "7f6567133d4263de", "bbdc9bf8e91993b0"),
+    "fleet-burst": (21_895, 2_793, 84_501, 0, 5_218, 0, "6a587ca5a7b775f7", "85ba4bcd2923bcdf"),
+    "fleet-parallel": (45_112, 5_889, 104_975, 0, 10_395, 0, "f9c986a19c033e03", "ed22b0d607ea2122"),
+}
+
+
+def _digest(simulation, result) -> tuple:
+    """The :data:`DIGEST_FIELDS` of one finished single-process run."""
+    fleet = hasattr(simulation, "clusters")
+    clusters = [cluster.simulation for cluster in simulation.clusters] if fleet else [simulation]
+    machines = [machine for cluster in clusters for machine in cluster.machines]
+    engine = simulation.engine
+    requests = hashlib.sha256()
+    for r in result.requests:
+        requests.update(r.token_times.tobytes())
+        requests.update(repr((r.request_id, r.generated_tokens, float(r.priority_boost), r.completion_time,
+                              r.restarts, r.phase.value, r.prompt_machine, r.token_machine)).encode())
+    stats = hashlib.sha256()
+    for cluster in clusters:
+        stats.update(repr(sorted(cluster.metrics.export_machine_stats().items())).encode())
+        stats.update(repr(cluster.metrics.token_log.boundaries_recorded()).encode())
+    return (
+        engine.events_processed,
+        engine.events_cancelled,
+        engine.events_coalesced,
+        engine.heap_compactions,
+        sum(machine.fast_forward_runs for machine in machines),
+        sum(machine.rotation_runs for machine in machines),
+        requests.hexdigest()[:16],
+        stats.hexdigest()[:16],
+    )
+
+
 @functools.cache
 def _run(name: str) -> dict:
     """Run one scenario once per session and return its simulation counters."""
@@ -94,10 +146,12 @@ def _run(name: str) -> dict:
     if info is not None and info.get("mode") == "parallel":
         counters = (info["events_processed"], info["events_cancelled"], info["events_coalesced"])
         workers = info["workers"]
+        digest = None
     else:
         engine = simulation.engine
         counters = (engine.events_processed, engine.events_cancelled, engine.events_coalesced)
         workers = 0
+        digest = _digest(simulation, result)
     return {
         "requests": len(trace),
         "completed": len(result.completed_requests),
@@ -107,6 +161,7 @@ def _run(name: str) -> dict:
         "events_cancelled": counters[1],
         "events_coalesced": counters[2],
         "workers": workers,
+        "digest": digest,
     }
 
 
@@ -116,6 +171,11 @@ def test_sim_time_pin(name):
     # Every request must drain; a partial completion means the scenario is broken.
     assert run["completed"] == run["requests"]
     assert repr(run["sim_time_s"]) == EXPECTED_SIM_TIME[name]
+
+
+@pytest.mark.parametrize("name", list(EXPECTED_DIGEST))
+def test_simulated_state_digest(name):
+    assert dict(zip(DIGEST_FIELDS, _run(name)["digest"])) == dict(zip(DIGEST_FIELDS, EXPECTED_DIGEST[name]))
 
 
 def test_sharded_fleet_matches_serial():

@@ -62,7 +62,6 @@ from repro.models.performance import (
     AnalyticalPerformanceModel,
     BatchSpec,
     PerformanceModel,
-    ProfiledPerformanceModel,
 )
 from repro.models.power import PowerModel
 from repro.simulation.request import Request, RequestPhase
@@ -101,7 +100,6 @@ __all__ = [
     "PowerModel",
     "PerformanceModel",
     "AnalyticalPerformanceModel",
-    "ProfiledPerformanceModel",
     "BatchSpec",
     # workload
     "WorkloadSpec",

@@ -89,11 +89,11 @@ class MachinePool:
 
     Membership is mirrored in a set so ``in`` checks and duplicate-free adds
     are O(1) instead of scanning the member list; the list is kept for
-    deterministic iteration order.  ``version`` increments on every
-    membership change so callers can cache views derived from the pool.
+    deterministic iteration order.
 
     Attributes:
-        name: Pool name (``"prompt"``, ``"token"``, or ``"mixed"``).
+        name: Pool name (``"prompt"``, ``"token"``, ``"mixed"``, ``"parked"``
+            or ``"failed"``).
         machines: Member machines (insertion-ordered).
     """
 
@@ -102,7 +102,6 @@ class MachinePool:
 
     def __post_init__(self) -> None:
         self._members: set[SimulatedMachine] = set(self.machines)
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self.machines)
@@ -118,14 +117,12 @@ class MachinePool:
         if machine not in self._members:
             self._members.add(machine)
             self.machines.append(machine)
-            self.version += 1
 
     def remove(self, machine: SimulatedMachine) -> None:
         """Remove a machine if present (O(1) membership check)."""
         if machine in self._members:
             self._members.discard(machine)
             self.machines.remove(machine)
-            self.version += 1
 
     def least_loaded(self, load: Callable[[SimulatedMachine], float]) -> SimulatedMachine | None:
         """The member machine minimizing ``load`` (ties broken by name).
@@ -206,9 +203,14 @@ class RoutingDecision:
 class ClusterScheduler:
     """Cluster-level scheduler for split or baseline clusters.
 
+    Each machine has one placement: a routable pool (prompt, token or
+    mixed), the parked pool or the failed pool.  :meth:`_move` makes every
+    change of placement, so no machine sits in two pools, and a failed one
+    can be neither parked, re-purposed nor routed to until it recovers.
+
     Args:
         engine: The simulation engine.
-        machines: All machines in the cluster.
+        machines: All machines in the cluster, in build order (the roster).
         model: The LLM being served (used to size KV-cache transfers).
         split: ``True`` for Splitwise clusters (separate prompt/token pools),
             ``False`` for baseline clusters (every machine runs both phases).
@@ -251,13 +253,18 @@ class ClusterScheduler:
             engine.sanitizer.register_stream("routing", run_phase=True)
         self._round_robin_counters: dict[str, int] = {"prompt": 0, "token": 0, "mixed": 0}
 
+        #: Every machine of the cluster in build order, failed ones included.
+        self.machines: tuple[SimulatedMachine, ...] = tuple(machines)
         self.prompt_pool = MachinePool("prompt")
         self.token_pool = MachinePool("token")
         self.mixed_pool = MachinePool("mixed")
-        #: Machines withdrawn from routing by the autoscaler (still owned by
-        #: the scheduler: they appear in ``machines`` and can fail, but the
-        #: router never selects from here).
+        #: Machines withdrawn from routing by the autoscaler (they can still
+        #: fail, but the router never selects from here).
         self.parked_pool = MachinePool("parked")
+        #: Failed machines in failure order; the router never selects from here.
+        self.failed_pool = MachinePool("failed")
+        #: machine -> the one pool it sits in (its placement).
+        self._placement: dict[SimulatedMachine, MachinePool] = {}
         #: request_id -> RoutingDecision; the index that lets withdrawal and
         #: outstanding-request lookup go straight to the two relevant machines
         #: instead of scanning every queue in the cluster.
@@ -268,17 +275,14 @@ class ClusterScheduler:
         #: needs this registry to find (and restart) these requests, and
         #: withdrawal to tombstone their completion events.
         self._transfers: dict[int, tuple[Request, Event]] = {}
-        self._machines_cache: list[SimulatedMachine] | None = None
-        self._machines_cache_versions: tuple[int, int, int, int] = (-1, -1, -1, -1)
         self._transfer_models: dict[tuple[str, str], KVTransferModel] = {}
         #: Visible-latency multiplier applied to newly scheduled KV transfers
         #: (fault plane; 1.0 = healthy interconnect).
         self._kv_degradation = 1.0
         self.completed_requests: list[Request] = []
         self.restarted_requests: list[Request] = []
-        self.failed_machines: list[SimulatedMachine] = []
         self.pool_switches = 0
-        #: Invoked after a machine fails and leaves every pool (set by the
+        #: Invoked after a machine fails and moves to the failed pool (set by the
         #: autoscaler so its park-interval accounting can observe failures).
         self.on_machine_failed: Callable[[SimulatedMachine], None] | None = None
         #: Invoked after a failed machine recovers and rejoins its home pool.
@@ -292,37 +296,18 @@ class ClusterScheduler:
         #: the lifecycle layer decides whether (and where) to retry them.
         self.restart_handler: Callable[[Request], None] | None = None
 
-        for machine in machines:
+        for machine in self.machines:
             machine.on_prompt_complete = self._handle_prompt_complete
             machine.on_request_complete = self._handle_request_complete
             machine.on_iteration_complete = self._handle_iteration_complete
-            self._place_home(machine)
+            self._move(machine, self._home_pool(machine))
 
     # -- public API -----------------------------------------------------------------
 
     @property
-    def machines(self) -> list[SimulatedMachine]:
-        """All machines managed by this scheduler.
-
-        The view is cached and invalidated by pool-version counters, so
-        repeated reads between pool changes are O(1).  Treat the returned
-        list as read-only.
-        """
-        versions = (
-            self.prompt_pool.version,
-            self.token_pool.version,
-            self.mixed_pool.version,
-            self.parked_pool.version,
-        )
-        if self._machines_cache is None or self._machines_cache_versions != versions:
-            self._machines_cache = (
-                list(self.prompt_pool)
-                + list(self.token_pool)
-                + list(self.mixed_pool)
-                + list(self.parked_pool)
-            )
-            self._machines_cache_versions = versions
-        return self._machines_cache
+    def failed_machines(self) -> tuple[SimulatedMachine, ...]:
+        """The failed machines in failure order (the order :meth:`recover_all` follows)."""
+        return tuple(self.failed_pool)
 
     def submit(self, request: Request) -> RoutingDecision:
         """Route a newly arrived request and enqueue its prompt phase."""
@@ -419,10 +404,7 @@ class ClusterScheduler:
         """Temporarily pull a machine into the mixed pool."""
         if machine.role is MachineRole.MIXED:
             return
-        self.prompt_pool.remove(machine)
-        self.token_pool.remove(machine)
-        self.mixed_pool.add(machine)
-        machine.role = MachineRole.MIXED
+        self._move(machine, self.mixed_pool)
         self.pool_switches += 1
 
     def _restore_home_pool(self, machine: SimulatedMachine) -> None:
@@ -431,8 +413,7 @@ class ClusterScheduler:
             return
         if machine.has_foreign_work():
             return
-        self.mixed_pool.remove(machine)
-        self._place_home(machine)
+        self._move(machine, self._home_pool(machine))
 
     def _home_pool(self, machine: SimulatedMachine) -> MachinePool:
         """The pool a machine serves from when not borrowed, parked or failed."""
@@ -442,15 +423,22 @@ class ClusterScheduler:
             return self.prompt_pool
         return self.token_pool
 
-    def _place_home(self, machine: SimulatedMachine) -> None:
-        """Put a machine in its home pool, in its home role."""
-        machine.role = machine.home_role
-        self._home_pool(machine).add(machine)
+    def _move(self, machine: SimulatedMachine, pool: MachinePool) -> None:
+        """Place a machine in ``pool``: the one change of placement.
 
-    def _leave_pools(self, machine: SimulatedMachine) -> None:
-        """Take a machine out of every pool, the parked pool included."""
-        for pool in (self.prompt_pool, self.token_pool, self.mixed_pool, self.parked_pool):
-            pool.remove(machine)
+        The machine leaves its previous pool for the end of ``pool`` and
+        takes the mixed role in the mixed pool, its home role anywhere else.
+        A no-op when it already sits in ``pool``, so every pool keeps its
+        order.
+        """
+        previous = self._placement.get(machine)
+        if previous is pool:
+            return
+        if previous is not None:
+            previous.remove(machine)
+        pool.add(machine)
+        self._placement[machine] = pool
+        machine.role = MachineRole.MIXED if pool is self.mixed_pool else machine.home_role
 
     # -- dynamic re-purposing (autoscaler hooks) ----------------------------------------------
 
@@ -463,22 +451,19 @@ class ClusterScheduler:
         request.
 
         Raises:
-            ValueError: if the machine still holds or expects any work.
+            ValueError: if the machine has failed, or still holds or expects
+                any work.
         """
+        if self._placement[machine] is self.failed_pool:
+            raise ValueError(f"machine {machine.name} has failed and cannot be parked")
         if machine.has_prompt_work() or machine.has_token_work() or machine.is_busy:
             raise ValueError(f"machine {machine.name} still has work; only idle machines can be parked")
-        if machine in self.parked_pool:
-            return
-        self._leave_pools(machine)
-        machine.role = machine.home_role
-        self.parked_pool.add(machine)
+        self._move(machine, self.parked_pool)
 
     def unpark_machine(self, machine: SimulatedMachine) -> None:
         """Return a parked machine to its home pool (autoscaler scale-up)."""
-        if machine not in self.parked_pool:
-            return
-        self.parked_pool.remove(machine)
-        self._place_home(machine)
+        if self._placement[machine] is self.parked_pool:
+            self._move(machine, self._home_pool(machine))
 
     def retarget_home(self, machine: SimulatedMachine, new_home: MachineRole) -> None:
         """Re-purpose a machine to a new home pool with drain-before-switch.
@@ -491,18 +476,22 @@ class ClusterScheduler:
 
         Raises:
             ValueError: if ``new_home`` is the mixed pool (machines only ever
-                visit the mixed pool temporarily).
+                visit the mixed pool temporarily), or if the machine has
+                failed.
         """
         if new_home is MachineRole.MIXED:
             raise ValueError("cannot re-target a machine's home to the mixed pool")
+        if self._placement[machine] is self.failed_pool:
+            raise ValueError(f"machine {machine.name} has failed and cannot be re-purposed")
         if machine.home_role is new_home:
             return
         # Any in-flight coalesced run was proven safe under the old home.
         machine.interrupt_coalescing()
         machine.home_role = new_home
-        if machine in self.parked_pool:
+        placement = self._placement[machine]
+        if placement is self.parked_pool:
             return  # takes effect when the machine is unparked
-        if machine.role is MachineRole.MIXED:
+        if placement is self.mixed_pool:
             # Already draining in the mixed pool; it lands in the new home
             # pool as soon as the (newly defined) foreign work is gone.
             self._restore_home_pool(machine)
@@ -510,8 +499,7 @@ class ClusterScheduler:
         if machine.has_foreign_work():
             self._move_to_mixed(machine)
             return
-        self._leave_pools(machine)
-        self._place_home(machine)
+        self._move(machine, self._home_pool(machine))
         self.pool_switches += 1
 
     def count_home_machines(self, role: MachineRole) -> int:
@@ -529,8 +517,8 @@ class ClusterScheduler:
         """Fail a machine and restart its incomplete requests from scratch.
 
         The paper's fault-tolerance policy (§IV-E) is to simply restart any
-        request whose prompt or token machine fails.  The failed machine is
-        removed from every pool; every incomplete request it held — plus any
+        request whose prompt or token machine fails.  The failed machine
+        moves to the failed pool; every incomplete request it held — plus any
         request that was routed to it as a future token machine — is reset and
         resubmitted through the normal routing path.
 
@@ -585,19 +573,16 @@ class ClusterScheduler:
         if not target.failed:
             return None
         target.recover()
-        self.failed_machines.remove(target)
-        self._place_home(target)
+        self._move(target, self._home_pool(target))
         if self.on_machine_recovered is not None:
             self.on_machine_recovered(target)
         return target
 
     def recover_all(self) -> list[SimulatedMachine]:
-        """Recover every failed machine (end of a cluster-wide outage)."""
-        recovered: list[SimulatedMachine] = []
-        for machine in list(self.failed_machines):
-            result = self.recover_machine(machine)
-            if result is not None:
-                recovered.append(result)
+        """Recover every failed machine in failure order (end of a cluster-wide outage)."""
+        recovered = list(self.failed_pool)
+        for machine in recovered:
+            self.recover_machine(machine)
         return recovered
 
     def evacuate(self) -> list[Request]:
@@ -611,14 +596,14 @@ class ClusterScheduler:
 
         Returns:
             Every incomplete request the cluster held, reset for restart,
-            in deterministic discovery order.
+            in deterministic discovery order: machine by machine through the
+            prompt, token, mixed and parked pools, then KV transfers.
         """
         to_restart: dict[int, Request] = {}
-        for machine in list(self.machines):
-            if machine.failed:
-                continue
-            for request in self._take_down(machine):
-                to_restart.setdefault(id(request), request)
+        for pool in (self.prompt_pool, self.token_pool, self.mixed_pool, self.parked_pool):
+            for machine in list(pool):
+                for request in self._take_down(machine):
+                    to_restart.setdefault(id(request), request)
         # Requests mid KV-transfer sit in no machine queue; the transfer
         # registry is the only index that still knows them.
         for request, _event in list(self._transfers.values()):
@@ -632,10 +617,9 @@ class ClusterScheduler:
         return evacuated
 
     def _take_down(self, machine: SimulatedMachine) -> list[Request]:
-        """Fail one machine, take it out of every pool, and return its work."""
+        """Fail one machine, move it to the failed pool, and return its work."""
         affected = machine.fail()
-        self._leave_pools(machine)
-        self.failed_machines.append(machine)
+        self._move(machine, self.failed_pool)
         if self.on_machine_failed is not None:
             self.on_machine_failed(machine)
         return affected
@@ -663,7 +647,7 @@ class ClusterScheduler:
     def _resolve_machine(self, machine: SimulatedMachine | str) -> SimulatedMachine:
         if isinstance(machine, SimulatedMachine):
             return machine
-        for candidate in self.machines + self.failed_machines:
+        for candidate in self.machines:
             if candidate.name == machine:
                 return candidate
         raise KeyError(f"no machine named {machine!r} in this cluster")
@@ -793,7 +777,7 @@ class ClusterScheduler:
         }
 
     def machines_by_home_role(self, role: MachineRole) -> list[SimulatedMachine]:
-        """All machines whose home pool is ``role`` regardless of current pool."""
+        """All machines whose home pool is ``role`` regardless of placement, in build order."""
         return [m for m in self.machines if m.home_role is role]
 
     def outstanding_requests(self) -> Iterable[Request]:

@@ -406,10 +406,9 @@ class SimulatedMachine:
     def set_performance_slowdown(self, factor: float) -> None:
         """Apply (or lift) a persistent straggler slowdown on this machine.
 
-        Same contract as a power-cap change: any coalesced decode run is
-        interrupted first, so the in-flight iteration keeps its committed
-        latency and every later iteration sees the new factor — identical
-        behaviour with fast-forward on or off.
+        Any coalesced decode run is interrupted first, so the in-flight
+        iteration keeps its committed latency and every later iteration sees
+        the new factor — identical behaviour with fast-forward on or off.
         """
         if factor == self.performance.slowdown_factor:
             return
@@ -914,18 +913,6 @@ class SimulatedMachine:
         """
         self._rotation_interrupt()
         self._ff_interrupt()
-
-    def notify_power_cap_change(self) -> None:
-        """Invalidate memoized latency/energy tables after a power-cap change.
-
-        Interrupts any in-flight macro-event first: its precomputed series
-        reflect the old cap, and only iterations that already started may
-        keep it (the in-flight iteration completes under the latency it was
-        launched with, exactly like the per-iteration simulator).
-        """
-        self._ff_interrupt()
-        self.performance.invalidate_caches()
-        self.power.invalidate_caches()
 
     def _age_skipped(self, plan: BatchPlan) -> None:
         """Boost every pool member left out of ``plan`` and restore ready order.

@@ -113,8 +113,8 @@ class FaultInjector:
         machine = scheduler.find_machine(injection.target)
         if machine.failed:
             return False
-        if len(scheduler.machines) <= 1:
-            return False  # never kill a cluster's last machine from this process
+        if len(scheduler.machines) - len(scheduler.failed_machines) <= 1:
+            return False  # never kill a cluster's last live machine from this process
         scheduler.fail_machine(machine)
         return True
 

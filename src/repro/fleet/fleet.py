@@ -239,8 +239,7 @@ class FleetResult:
     @staticmethod
     def _machine_rates(result: SimulationResult) -> dict[str, float]:
         """Per-machine $/hour by machine name (prompt and token rates differ)."""
-        machines = list(result.scheduler.machines) + list(result.scheduler.failed_machines)
-        return {machine.name: machine.spec.cost_per_hour for machine in machines}
+        return {machine.name: machine.spec.cost_per_hour for machine in result.scheduler.machines}
 
     def cost(self) -> float:
         """Dollar cost of the consumed machine-hours.

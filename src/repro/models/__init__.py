@@ -6,9 +6,8 @@ Contents:
   paper (Llama2-70B and BLOOM-176B, Table III) plus KV-cache geometry.
 * :mod:`repro.models.memory` — GPU memory accounting for weights and KV-cache
   (Fig. 7), including the maximum batch capacity of a machine.
-* :mod:`repro.models.performance` — latency models for the prompt and token
-  phases (Figs. 5, 6; Table IV), both analytical and profile-interpolated,
-  mirroring the piecewise-linear model the paper's simulator uses.
+* :mod:`repro.models.performance` — the analytical latency model for the
+  prompt and token phases (Figs. 5, 6; Table IV).
 * :mod:`repro.models.power` — power-draw and power-capping models
   (Figs. 8, 9).
 """
@@ -19,8 +18,6 @@ from repro.models.performance import (
     AnalyticalPerformanceModel,
     BatchSpec,
     PerformanceModel,
-    ProfiledPerformanceModel,
-    mean_absolute_percentage_error,
 )
 from repro.models.power import PowerModel
 
@@ -35,7 +32,5 @@ __all__ = [
     "BatchSpec",
     "PerformanceModel",
     "AnalyticalPerformanceModel",
-    "ProfiledPerformanceModel",
-    "mean_absolute_percentage_error",
     "PowerModel",
 ]

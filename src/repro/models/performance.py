@@ -3,16 +3,10 @@
 The Splitwise simulator is driven by a performance model that answers one
 question: *how long does one forward-pass iteration take for a given batch
 composition on a given machine?*  The paper builds a piecewise-linear model
-fitted to hardware profiles (validated to <3% MAPE, Section V-B).  We provide
-two interchangeable implementations:
-
-* :class:`AnalyticalPerformanceModel` — closed-form latency curves calibrated
-  to the paper's published characterization (Fig. 5a/5b, Fig. 6, Table IV).
-  This is the reference model used by the cluster experiments.
-* :class:`ProfiledPerformanceModel` — piecewise-linear interpolation over a
-  profile table, mirroring the paper's methodology.  It can be fitted to any
-  other model (or to user-supplied measurements) and is validated against the
-  analytical model with a MAPE check in the test suite.
+fitted to hardware profiles (validated to <3% MAPE, Section V-B).  Here
+:class:`AnalyticalPerformanceModel` answers it with closed-form latency curves
+calibrated to the paper's published characterization (Fig. 5a/5b, Fig. 6,
+Table IV); :class:`PerformanceModel` is the interface it implements.
 
 Latency is always returned in **seconds**; calibration constants are stored
 in milliseconds because that is how the paper reports them.
@@ -29,9 +23,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.hardware.machine import MachineSpec
 from repro.models.llm import ModelSpec
@@ -125,37 +116,9 @@ class PerformanceModel(ABC):
                 ``token_requests * DEFAULT_REFERENCE_CONTEXT``.
         """
 
-    def token_latency_series(
-        self, token_requests: int, context_start: int, context_step: int, count: int
-    ) -> Sequence[float]:
-        """Latencies of ``count`` consecutive decode iterations of a fixed batch.
-
-        The batched context starts at ``context_start`` tokens and grows by
-        ``context_step`` per iteration (one token per decoding request).  The
-        default implementation calls :meth:`token_latency` once per iteration,
-        so subclasses that vectorize or inline the computation must stay
-        bit-identical to that reference — the decode fast-forward engine
-        relies on it to coalesce iterations without drifting the simulation.
-        """
-        latency = self.token_latency
-        return [latency(token_requests, context_start + i * context_step) for i in range(count)]
-
-    def token_latency_uncached(self, token_requests: int, context_tokens: int) -> float:
-        """:meth:`token_latency` for a one-shot key, bypassing any memo table.
-
-        Rotating batches query a fresh ``(token_requests, context_tokens)``
-        key every iteration (the context grows each service), so memoizing
-        those lookups only churns the table.  Must be bit-identical to
-        :meth:`token_latency`; the base implementation simply delegates.
-        """
-        return self.token_latency(token_requests, context_tokens)
-
+    @abstractmethod
     def invalidate_caches(self) -> None:
-        """Drop memoized latency entries (call after a power-cap change).
-
-        The base implementation keeps no caches; memoizing subclasses
-        override this.
-        """
+        """Drop memoized latency entries (:meth:`set_slowdown` calls this)."""
 
     # -- derived quantities ------------------------------------------------------
 
@@ -267,8 +230,8 @@ class AnalyticalPerformanceModel(PerformanceModel):
     Latencies are pure functions of the batch composition, so they are
     memoized on exact ``prompt_tokens`` / ``(token_requests, context_tokens)``
     keys — exact keys, not rounded buckets, so cached and freshly computed
-    values are bit-identical.  Call :meth:`invalidate_caches` after changing
-    the machine's power cap.
+    values are bit-identical.  :meth:`set_slowdown` drops them, because every
+    entry folds in the straggler factor.
 
     Args:
         model: LLM being served.
@@ -424,119 +387,3 @@ class AnalyticalPerformanceModel(PerformanceModel):
         kv_bytes = self.model.kv_cache_bytes(context_tokens)
         bandwidth = self.machine.total_hbm_bandwidth_gbps * 1e9 * KV_READ_EFFICIENCY
         return kv_bytes / bandwidth * 1e3
-
-
-class ProfiledPerformanceModel(PerformanceModel):
-    """Piecewise-linear performance model interpolated from profile points.
-
-    This mirrors the paper's methodology: profile the model on the target
-    hardware at a grid of prompt sizes and decode batch sizes, then
-    interpolate linearly between profile points (extrapolating linearly past
-    the last point).
-
-    Args:
-        model: LLM being served.
-        machine: Machine serving it.
-        prompt_profile: Sequence of ``(prompt_tokens, latency_s)`` points.
-        token_profile: Sequence of ``(batch_size, latency_s)`` points taken at
-            ``reference_context`` cached tokens per request.
-        reference_context: Context per request the token profile was taken at.
-    """
-
-    def __init__(
-        self,
-        model: ModelSpec,
-        machine: MachineSpec,
-        prompt_profile: Sequence[tuple[float, float]],
-        token_profile: Sequence[tuple[float, float]],
-        reference_context: int = DEFAULT_REFERENCE_CONTEXT,
-    ) -> None:
-        if len(prompt_profile) < 2 or len(token_profile) < 2:
-            raise ValueError("profiles need at least two points each")
-        self.model = model
-        self.machine = machine
-        self.reference_context = reference_context
-        self._prompt_x, self._prompt_y = self._sorted_arrays(prompt_profile, "prompt_profile")
-        self._token_x, self._token_y = self._sorted_arrays(token_profile, "token_profile")
-        self._kv_read_per_token_s = model.kv_bytes_per_token / (
-            machine.total_hbm_bandwidth_gbps * 1e9 * KV_READ_EFFICIENCY
-        )
-
-    @staticmethod
-    def _sorted_arrays(profile: Sequence[tuple[float, float]], name: str) -> tuple[np.ndarray, np.ndarray]:
-        points = sorted(profile)
-        x = np.asarray([p[0] for p in points], dtype=float)
-        y = np.asarray([p[1] for p in points], dtype=float)
-        if np.any(x < 0) or np.any(y < 0):
-            raise ValueError(f"{name} points must be non-negative")
-        if np.any(np.diff(x) == 0):
-            raise ValueError(f"{name} has duplicate x values")
-        return x, y
-
-    @classmethod
-    def from_model(
-        cls,
-        reference: PerformanceModel,
-        prompt_grid: Sequence[int] = (64, 128, 256, 512, 1024, 2048, 4096, 8192),
-        batch_grid: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-        reference_context: int = DEFAULT_REFERENCE_CONTEXT,
-    ) -> "ProfiledPerformanceModel":
-        """Profile another model over a grid and build an interpolated model."""
-        prompt_profile = [(n, reference.prompt_latency(n)) for n in prompt_grid]
-        token_profile = [(b, reference.token_latency(b, b * reference_context)) for b in batch_grid]
-        return cls(reference.model, reference.machine, prompt_profile, token_profile, reference_context)
-
-    @staticmethod
-    def _interp(x: float, xs: np.ndarray, ys: np.ndarray) -> float:
-        """Linear interpolation with linear extrapolation beyond the ends."""
-        if x <= xs[0]:
-            slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-            return float(max(0.0, ys[0] + slope * (x - xs[0])))
-        if x >= xs[-1]:
-            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            return float(ys[-1] + slope * (x - xs[-1]))
-        return float(np.interp(x, xs, ys))
-
-    def prompt_latency(self, prompt_tokens: int) -> float:
-        if prompt_tokens < 0:
-            raise ValueError(f"prompt_tokens must be non-negative, got {prompt_tokens}")
-        if prompt_tokens == 0:
-            return 0.0
-        latency = self._interp(float(prompt_tokens), self._prompt_x, self._prompt_y)
-        if self.slowdown_factor != 1.0:
-            latency *= self.slowdown_factor
-        return latency
-
-    def token_latency(self, token_requests: int, context_tokens: int | None = None) -> float:
-        if token_requests < 0:
-            raise ValueError(f"token_requests must be non-negative, got {token_requests}")
-        if token_requests == 0:
-            return 0.0
-        base = self._interp(float(token_requests), self._token_x, self._token_y)
-        if context_tokens is not None:
-            # Correct for contexts that differ from the profiling reference.
-            delta_tokens = context_tokens - token_requests * self.reference_context
-            base = max(0.0, base + delta_tokens * self._kv_read_per_token_s)
-        if self.slowdown_factor != 1.0:
-            base *= self.slowdown_factor
-        return base
-
-
-def mean_absolute_percentage_error(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """MAPE between two latency series, as used to validate the paper's model.
-
-    Returns a fraction (0.03 means 3%).
-
-    Raises:
-        ValueError: if the series differ in length, are empty, or ``actual``
-            contains zeros.
-    """
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    if a.shape != p.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {p.shape}")
-    if a.size == 0:
-        raise ValueError("cannot compute MAPE of empty series")
-    if np.any(a == 0):
-        raise ValueError("actual values must be non-zero for MAPE")
-    return float(np.mean(np.abs((a - p) / a)))

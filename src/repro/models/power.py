@@ -64,8 +64,8 @@ class PowerModel:
 
     Per-phase draw and default-cap slowdowns are pure functions of the batch
     composition, and the simulator evaluates them once per iteration, so they
-    are memoized on exact batch keys.  Call :meth:`invalidate_caches` after
-    changing the machine's power cap.
+    are memoized on exact batch keys.  The cap is frozen into the machine
+    spec, so no entry goes stale during a run.
     """
 
     def __init__(self, model: ModelSpec, machine: MachineSpec) -> None:
@@ -77,7 +77,7 @@ class PowerModel:
         self._token_slowdown_cache: dict[int, float] = {}
 
     def invalidate_caches(self) -> None:
-        """Drop every memoized draw/slowdown entry (call after a cap change)."""
+        """Drop every memoized draw/slowdown entry."""
         self._prompt_power_cache.clear()
         self._token_power_cache.clear()
         self._prompt_slowdown_cache.clear()

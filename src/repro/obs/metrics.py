@@ -240,7 +240,6 @@ class MetricsTicker:
         total_power = 0.0
         for cluster in fleet.clusters:
             scheduler = cluster.scheduler
-            live = scheduler.machines
             failed = scheduler.failed_machines
             busy = 0
             power = 0.0
@@ -248,7 +247,9 @@ class MetricsTicker:
             decode_tokens = 0
             occupancy = 0
             kv_headroom_min = 1.0
-            for machine in live:
+            for machine in scheduler.machines:
+                if machine.failed:
+                    continue
                 if machine.is_busy:
                     busy += 1
                     power += machine.spec.provisioned_power_watts

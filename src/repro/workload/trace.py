@@ -18,7 +18,6 @@ all the way into the fleet's per-tenant SLO report.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -245,43 +244,3 @@ class Trace:
                     )
                 )
         return cls(requests=tuple(requests), name=name or path.stem)
-
-    def to_json(self, path: str | Path) -> Path:
-        """Write the trace (including metadata) as JSON."""
-        path = Path(path)
-        payload = {
-            "name": self.name,
-            "metadata": self.metadata,
-            "requests": [
-                {
-                    "request_id": r.request_id,
-                    "arrival_time_s": r.arrival_time_s,
-                    "prompt_tokens": r.prompt_tokens,
-                    "output_tokens": r.output_tokens,
-                    "tenant": r.tenant,
-                    "ttft_deadline_s": r.ttft_deadline_s,
-                    "e2e_deadline_s": r.e2e_deadline_s,
-                }
-                for r in self.requests
-            ],
-        }
-        path.write_text(json.dumps(payload, indent=2))
-        return path
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "Trace":
-        """Load a trace written by :meth:`to_json`."""
-        payload = json.loads(Path(path).read_text())
-        requests = tuple(
-            RequestDescriptor(
-                request_id=r["request_id"],
-                arrival_time_s=r["arrival_time_s"],
-                prompt_tokens=r["prompt_tokens"],
-                output_tokens=r["output_tokens"],
-                tenant=r.get("tenant", DEFAULT_TENANT),
-                ttft_deadline_s=r.get("ttft_deadline_s"),
-                e2e_deadline_s=r.get("e2e_deadline_s"),
-            )
-            for r in payload["requests"]
-        )
-        return cls(requests=requests, name=payload.get("name", "trace"), metadata=payload.get("metadata", {}))

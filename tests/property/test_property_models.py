@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.kv_transfer import KVTransferModel, TransferMode
@@ -10,12 +10,11 @@ from repro.hardware.interconnect import INFINIBAND_200, INFINIBAND_400
 from repro.hardware.machine import DGX_A100, DGX_H100
 from repro.models.llm import BLOOM_176B, LLAMA2_70B
 from repro.models.memory import MemoryModel
-from repro.models.performance import AnalyticalPerformanceModel, ProfiledPerformanceModel
+from repro.models.performance import AnalyticalPerformanceModel
 from repro.models.power import PowerModel
 
 _PERF_H100 = AnalyticalPerformanceModel(LLAMA2_70B, DGX_H100)
 _PERF_A100 = AnalyticalPerformanceModel(LLAMA2_70B, DGX_A100)
-_PROFILED = ProfiledPerformanceModel.from_model(_PERF_H100)
 _POWER = PowerModel(LLAMA2_70B, DGX_H100)
 _MEMORY = MemoryModel(BLOOM_176B, DGX_H100)
 _TRANSFER = KVTransferModel(model=LLAMA2_70B, link=INFINIBAND_400)
@@ -59,14 +58,6 @@ class TestPerformanceModelProperties:
     @given(prompt_tokens, st.integers(min_value=1, max_value=64))
     def test_e2e_at_least_ttft(self, tokens, outputs):
         assert _PERF_H100.e2e_latency(tokens, outputs) >= _PERF_H100.ttft(tokens)
-
-    @given(st.integers(min_value=64, max_value=8192))
-    @settings(max_examples=30)
-    def test_profiled_model_tracks_analytical_model(self, tokens):
-        # Within the profiling grid; extrapolation beyond it is linear by design.
-        analytical = _PERF_H100.prompt_latency(tokens)
-        profiled = _PROFILED.prompt_latency(tokens)
-        assert abs(profiled - analytical) / analytical < 0.25
 
 
 class TestPowerModelProperties:

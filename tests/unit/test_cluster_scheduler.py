@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cluster import ClusterSimulation
 from repro.core.cluster_scheduler import ClusterScheduler, MachinePool
+from repro.core.designs import splitwise_hh
 from repro.core.machine import MachineRole, SimulatedMachine
 from repro.hardware.machine import DGX_H100
 from repro.metrics.collectors import MetricsCollector
 from repro.models.llm import LLAMA2_70B
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.request import Request, RequestPhase
+from repro.workload.generator import generate_trace
 from repro.workload.trace import RequestDescriptor
 
 
@@ -315,3 +318,160 @@ class TestPoolPlacement:
         scheduler.recover_all()
         assert pools() == (["token-1", "prompt-0"], ["token-2", "prompt-2", "prompt-1", "token-0"], [], [])
         assert all(machine.role is machine.home_role for machine in machines)
+
+
+class TestFailedMachinePlacement:
+    """A failed machine can be neither parked nor re-purposed until it recovers."""
+
+    @staticmethod
+    def _failed_token_0():
+        simulation = ClusterSimulation(splitwise_hh(2, 2))
+        simulation.scheduler.fail_machine("token-0")
+        return simulation, simulation.scheduler.find_machine("token-0")
+
+    @staticmethod
+    def _placements(scheduler):
+        pools = (scheduler.prompt_pool, scheduler.token_pool, scheduler.mixed_pool,
+                 scheduler.parked_pool, scheduler.failed_machines)
+        return (
+            [[machine.name for machine in pool] for pool in pools],
+            [(machine.role, machine.home_role) for machine in scheduler.machines],
+        )
+
+    @staticmethod
+    def _drains(simulation):
+        trace = generate_trace("conversation", rate_rps=4.0, duration_s=10.0, seed=0)
+        return simulation.run(trace).completion_rate == 1.0
+
+    def test_retarget_of_a_failed_machine_raises(self):
+        simulation, token_0 = self._failed_token_0()
+        before = self._placements(simulation.scheduler)
+        with pytest.raises(ValueError, match="token-0 has failed"):
+            simulation.scheduler.retarget_home(token_0, MachineRole.PROMPT)
+        assert self._placements(simulation.scheduler) == before
+        assert self._drains(simulation)
+
+    def test_park_of_a_failed_machine_raises_and_unpark_leaves_it_failed(self):
+        simulation, token_0 = self._failed_token_0()
+        before = self._placements(simulation.scheduler)
+        with pytest.raises(ValueError, match="token-0 has failed"):
+            simulation.scheduler.park_machine(token_0)
+        simulation.scheduler.unpark_machine(token_0)
+        assert self._placements(simulation.scheduler) == before
+        assert self._drains(simulation)
+
+    def test_park_then_recover_places_the_machine_once(self):
+        simulation, token_0 = self._failed_token_0()
+        scheduler = simulation.scheduler
+        with pytest.raises(ValueError, match="token-0 has failed"):
+            scheduler.park_machine(token_0)
+        scheduler.recover_machine(token_0)
+        pools, _roles = self._placements(scheduler)
+        roster = [machine.name for machine in scheduler.machines]
+        assert roster == ["prompt-0", "prompt-1", "token-0", "token-1"]
+        assert pools == [["prompt-0", "prompt-1"], ["token-1", "token-0"], [], [], []]
+        assert self._drains(simulation)
+
+
+class TestPlacementRecord:
+    """The roster, the failure-ordered failed pool, and the readers of "routable"."""
+
+    @staticmethod
+    def _cluster():
+        engine = SimulationEngine()
+        metrics = MetricsCollector()
+        machines = [_machine(f"prompt-{i}", engine, MachineRole.PROMPT, metrics) for i in range(2)]
+        machines += [_machine(f"token-{i}", engine, MachineRole.TOKEN, metrics) for i in range(2)]
+        scheduler = ClusterScheduler(engine=engine, machines=machines, model=LLAMA2_70B, split=True)
+        return scheduler, machines
+
+    @staticmethod
+    def _names(machines):
+        return [machine.name for machine in machines]
+
+    def test_roster_keeps_build_order_through_failure_parking_and_evacuation(self):
+        scheduler, machines = self._cluster()
+        roster = tuple(machines)
+        scheduler.fail_machine("token-0")
+        scheduler.park_machine(machines[1])
+        assert scheduler.machines == roster
+        scheduler.evacuate()
+        assert scheduler.machines == roster
+        assert all(scheduler.find_machine(machine.name) is machine for machine in machines)
+        scheduler.recover_all()
+        assert scheduler.machines == roster
+
+    def test_failed_machines_is_a_read_only_view_in_failure_order(self):
+        scheduler, machines = self._cluster()
+        for name in ("token-1", "prompt-0", "token-0"):
+            scheduler.fail_machine(name)
+        failed = scheduler.failed_machines
+        assert self._names(failed) == ["token-1", "prompt-0", "token-0"]
+        with pytest.raises(AttributeError):
+            scheduler.failed_machines = ()
+        with pytest.raises(TypeError):
+            failed[0] = machines[1]
+        scheduler.recover_machine("prompt-0")
+        assert self._names(failed) == ["token-1", "prompt-0", "token-0"]
+        assert self._names(scheduler.failed_machines) == ["token-1", "token-0"]
+
+    def test_recover_all_follows_failure_order_and_notifies_each_machine(self):
+        scheduler, _ = self._cluster()
+        failed: list[str] = []
+        recovered: list[str] = []
+        scheduler.on_machine_failed = lambda machine: failed.append(machine.name)
+        scheduler.on_machine_recovered = lambda machine: recovered.append(machine.name)
+        for name in ("token-1", "prompt-0", "token-0"):
+            scheduler.fail_machine(name)
+        assert self._names(scheduler.recover_all()) == ["token-1", "prompt-0", "token-0"]
+        assert failed == recovered == ["token-1", "prompt-0", "token-0"]
+        assert scheduler.failed_machines == ()
+        assert scheduler.recover_all() == []
+        assert recovered == ["token-1", "prompt-0", "token-0"]
+
+    def test_evacuate_discovers_requests_pool_by_pool_in_pool_order(self):
+        scheduler, machines = self._cluster()
+        # Parking and unparking prompt-0 puts it behind prompt-1 in the
+        # prompt pool, so pool order and roster order differ.
+        scheduler.park_machine(machines[0])
+        scheduler.unpark_machine(machines[0])
+        for request_id in range(4):
+            scheduler.submit(_request(request_id))
+        assert [request.request_id for request in machines[0].pending_prompts] == [0, 2]
+        assert [request.request_id for request in machines[1].pending_prompts] == [1, 3]
+        evacuated = scheduler.evacuate()
+        assert [request.request_id for request in evacuated] == [1, 3, 0, 2]
+        assert all(request.phase is RequestPhase.QUEUED for request in evacuated)
+        assert self._names(scheduler.failed_machines) == ["prompt-1", "prompt-0", "token-0", "token-1"]
+
+    def test_count_home_machines_counts_routable_machines_only(self):
+        scheduler, machines = self._cluster()
+        scheduler.fail_machine("prompt-0")
+        scheduler.park_machine(machines[3])
+        assert scheduler.count_home_machines(MachineRole.PROMPT) == 1
+        assert scheduler.count_home_machines(MachineRole.TOKEN) == 1
+        assert self._names(scheduler.machines_by_home_role(MachineRole.PROMPT)) == ["prompt-0", "prompt-1"]
+        assert self._names(scheduler.machines_by_home_role(MachineRole.TOKEN)) == ["token-0", "token-1"]
+        assert scheduler.pool_sizes() == {"prompt": 1, "token": 1, "mixed": 0, "parked": 1}
+
+    def test_repeated_transitions_change_no_placement(self):
+        scheduler, machines = self._cluster()
+        scheduler.park_machine(machines[0])
+        scheduler.unpark_machine(machines[0])
+        scheduler.fail_machine("token-0")
+
+        def placements():
+            pools = (scheduler.prompt_pool, scheduler.token_pool, scheduler.mixed_pool,
+                     scheduler.parked_pool, scheduler.failed_machines)
+            return [self._names(pool) for pool in pools], [machine.role for machine in machines]
+
+        before = placements()
+        switches = scheduler.pool_switches
+        assert scheduler.fail_machine("token-0") == []
+        assert scheduler.recover_machine("prompt-1") is None
+        scheduler.unpark_machine(machines[0])
+        scheduler.unpark_machine(machines[2])
+        scheduler.retarget_home(machines[0], MachineRole.PROMPT)
+        assert placements() == before
+        assert before[0] == [["prompt-1", "prompt-0"], ["token-1"], [], [], ["token-0"]]
+        assert scheduler.pool_switches == switches

@@ -81,7 +81,11 @@ class TestClusterLevelRecovery:
         simulation = ClusterSimulation(splitwise_hh(2, 1))
         result = simulation.run(failure_trace, failures=[(6.0, "prompt-0")])
         assert result.completion_rate == 1.0
-        assert "prompt-0" not in [m.name for m in result.scheduler.machines]
+        scheduler = result.scheduler
+        prompt_0 = scheduler.find_machine("prompt-0")
+        assert list(scheduler.failed_machines) == [prompt_0]
+        routable = (scheduler.prompt_pool, scheduler.token_pool, scheduler.mixed_pool)
+        assert not any(prompt_0 in pool for pool in routable)
 
     def test_baseline_cluster_recovers_too(self, failure_trace):
         simulation = ClusterSimulation(baseline_h100(3))

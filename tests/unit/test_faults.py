@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.designs import splitwise_hh
 from repro.faults import (
     CHAOS_PRESETS,
+    FaultInjector,
     FaultPlanConfig,
     FaultTopology,
     INJECTION_KINDS,
@@ -14,6 +16,7 @@ from repro.faults import (
     get_chaos_preset,
     plan_counts,
 )
+from repro.fleet import FleetSimulation
 
 TOPOLOGY = FaultTopology(
     machines={
@@ -166,3 +169,36 @@ class TestChaosPresets:
         assert faults.revocation_mtbf_s
         assert storm.reliability is not None
         assert storm.admission is not None
+
+
+class TestInjectorGuards:
+    """Fire-time guards of the injector, driven one injection at a time."""
+
+    @staticmethod
+    def _armed(design):
+        fleet = FleetSimulation(splitwise_hh(*design), num_clusters=1)
+        injector = FaultInjector(fleet, FaultPlanConfig())
+        injector.arm(0.0)
+        return fleet.clusters[0].scheduler, injector
+
+    def test_machine_fail_spares_the_last_live_machine(self):
+        scheduler, injector = self._armed((1, 2))
+        for name in ("token-0", "token-1", "prompt-0"):
+            injector._fire(Injection(0.0, "machine-fail", f"cluster-0/{name}"))
+        assert [machine.name for machine in scheduler.failed_machines] == [
+            "cluster-0/token-0", "cluster-0/token-1",
+        ]
+        assert not scheduler.find_machine("cluster-0/prompt-0").failed
+        assert injector.fired == {"machine-fail": 2}
+        assert injector.skipped == {"machine-fail": 1}
+
+    def test_machine_recover_skips_a_live_machine(self):
+        scheduler, injector = self._armed((1, 1))
+        injector._fire(Injection(0.0, "machine-recover", "cluster-0/token-0"))
+        injector._fire(Injection(0.0, "machine-fail", "cluster-0/token-0"))
+        injector._fire(Injection(0.0, "machine-fail", "cluster-0/token-0"))
+        injector._fire(Injection(0.0, "machine-recover", "cluster-0/token-0"))
+        assert scheduler.failed_machines == ()
+        assert [machine.name for machine in scheduler.token_pool] == ["cluster-0/token-0"]
+        assert injector.fired == {"machine-fail": 1, "machine-recover": 1}
+        assert injector.skipped == {"machine-fail": 1, "machine-recover": 1}

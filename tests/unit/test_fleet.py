@@ -278,6 +278,27 @@ class TestFleetProvisioner:
         assert result.machine_hours() == pytest.approx(billed - active_saved)
         assert result.machine_hours() > billed - active_saved - standby_saved
 
+    def test_parked_machine_that_fails_is_credited_at_its_own_rate(self):
+        # prompt-0 is parked from t=6 s on; failing it at t=20 s closes its
+        # park interval, and the credit still needs the failed machine's rate.
+        from repro.core.autoscaler import AutoscalerConfig
+
+        fleet = FleetSimulation(
+            splitwise_hh(2, 2),
+            num_clusters=1,
+            autoscaler=AutoscalerConfig(interval_s=2.0, hysteresis_ticks=1, cooldown_s=2.0),
+        )
+        result = fleet.run(_quick_trace(rate=1.0, duration=30.0), failures=[(20.0, "cluster-0/prompt-0")])
+        assert result.completion_rate == 1.0
+        cluster = result.cluster_results["cluster-0"]
+        prompt_0 = cluster.scheduler.find_machine("cluster-0/prompt-0")
+        assert list(cluster.scheduler.failed_machines) == [prompt_0]
+        assert cluster.autoscaler.park_intervals() == [
+            ("cluster-0/prompt-0", 2.0, 4.0), ("cluster-0/prompt-0", 6.0, 20.0),
+        ]
+        credit = prompt_0.spec.cost_per_hour * 16.0 / 3600.0
+        assert result.cost() == pytest.approx(result.static_cost() - credit)
+
     def test_retired_cluster_is_re_rentable_as_cold_capacity(self):
         # Drain-then-retire must not permanently shrink the fleet: once
         # every standby is used up, a retired cluster is cold capacity and
@@ -343,12 +364,10 @@ class TestTenantThreading:
             # ids renumbered, tenants intact
             assert [r.request_id for r in composed] == list(range(len(composed)))
 
-    def test_trace_csv_json_round_trip_keeps_tenants(self, tmp_path):
+    def test_trace_csv_round_trip_keeps_tenants(self, tmp_path):
         trace = _quick_trace(duration=5.0).with_tenant("gold")
         csv_back = Trace.from_csv(trace.to_csv(tmp_path / "t.csv"))
-        json_back = Trace.from_json(trace.to_json(tmp_path / "t.json"))
         assert csv_back.tenants() == ("gold",)
-        assert json_back.tenants() == ("gold",)
 
     def test_legacy_csv_without_tenant_column_defaults(self, tmp_path):
         path = tmp_path / "legacy.csv"

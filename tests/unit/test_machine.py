@@ -448,14 +448,6 @@ class TestDecodeFastForward:
         # The withdrawn request stops decoding at the interrupt in both modes.
         assert snapshots[0][1:] == snapshots[1][1:]
 
-    def test_notify_power_cap_change_invalidates_and_interrupts(self, engine):
-        machine = _decode_pool_machine(engine, [8, 8])
-        machine.performance.token_latency(2, 400)
-        machine.notify_power_cap_change()
-        assert not machine.performance._token_cache
-        engine.run()
-        assert machine.metrics.machine_stats("t0").tokens_generated > 0
-
 
 def _decoding(request_id: int, output: int = 12, arrival: float = 0.0) -> Request:
     """A request whose prompt already ran elsewhere, ready for a token pool."""

@@ -4,15 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware.machine import DGX_A100, DGX_H100, DGX_H100_CAPPED, MachineSpec
+from repro.hardware.machine import DGX_H100, DGX_H100_CAPPED, MachineSpec
 from repro.hardware.gpu import GPU_H100
 from repro.models.llm import BLOOM_176B, LLAMA2_70B, ModelSpec
-from repro.models.performance import (
-    AnalyticalPerformanceModel,
-    BatchSpec,
-    ProfiledPerformanceModel,
-    mean_absolute_percentage_error,
-)
+from repro.models.performance import AnalyticalPerformanceModel, BatchSpec
 
 
 class TestBatchSpec:
@@ -160,75 +155,6 @@ class TestExtrapolationToUnknownHardware:
         assert slow.prompt_latency(2048) > fast.prompt_latency(2048)
 
 
-class TestProfiledModel:
-    def test_matches_reference_within_a_few_percent(self, llama_h100_perf):
-        """The piecewise-linear model tracks the analytical model with low MAPE,
-        mirroring the <3% validation in the paper (§V-B)."""
-        profiled = ProfiledPerformanceModel.from_model(llama_h100_perf)
-        sizes = [100, 300, 700, 900, 1500, 3000, 6000]
-        actual = [llama_h100_perf.prompt_latency(n) for n in sizes]
-        predicted = [profiled.prompt_latency(n) for n in sizes]
-        assert mean_absolute_percentage_error(actual, predicted) < 0.05
-
-    def test_interpolates_exactly_at_profile_points(self, llama_h100_perf):
-        profiled = ProfiledPerformanceModel.from_model(llama_h100_perf, prompt_grid=(128, 1024, 4096))
-        assert profiled.prompt_latency(1024) == pytest.approx(llama_h100_perf.prompt_latency(1024))
-
-    def test_extrapolates_beyond_last_point(self, llama_h100_perf):
-        profiled = ProfiledPerformanceModel.from_model(llama_h100_perf, prompt_grid=(128, 1024, 2048))
-        assert profiled.prompt_latency(4096) > profiled.prompt_latency(2048)
-
-    def test_token_latency_adjusts_for_context(self, llama_h100_perf):
-        profiled = ProfiledPerformanceModel.from_model(llama_h100_perf)
-        short_ctx = profiled.token_latency(8, 8 * 256)
-        long_ctx = profiled.token_latency(8, 8 * 8192)
-        assert long_ctx > short_ctx
-
-    def test_requires_two_profile_points(self):
-        with pytest.raises(ValueError, match="two points"):
-            ProfiledPerformanceModel(LLAMA2_70B, DGX_H100, prompt_profile=[(1, 0.1)], token_profile=[(1, 0.01), (2, 0.02)])
-
-    def test_rejects_duplicate_profile_points(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ProfiledPerformanceModel(
-                LLAMA2_70B,
-                DGX_H100,
-                prompt_profile=[(1, 0.1), (1, 0.2), (2, 0.3)],
-                token_profile=[(1, 0.01), (2, 0.02)],
-            )
-
-    def test_custom_profile_from_measurements(self):
-        """Users can plug raw (tokens, seconds) measurements directly."""
-        profiled = ProfiledPerformanceModel(
-            LLAMA2_70B,
-            DGX_A100,
-            prompt_profile=[(128, 0.12), (1024, 0.16), (2048, 0.22)],
-            token_profile=[(1, 0.040), (32, 0.055), (64, 0.080)],
-        )
-        assert 0.12 <= profiled.prompt_latency(500) <= 0.16
-        assert 0.040 <= profiled.token_latency(16) <= 0.080
-
-
-class TestMape:
-    def test_zero_for_identical_series(self):
-        assert mean_absolute_percentage_error([1, 2, 3], [1, 2, 3]) == 0.0
-
-    def test_value(self):
-        assert mean_absolute_percentage_error([100, 200], [110, 180]) == pytest.approx(0.10)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            mean_absolute_percentage_error([1, 2], [1])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            mean_absolute_percentage_error([], [])
-
-    def test_rejects_zero_actuals(self):
-        with pytest.raises(ValueError, match="non-zero"):
-            mean_absolute_percentage_error([0, 1], [1, 1])
-
-
 class TestMemoizedLatencyTables:
     def test_prompt_latency_cache_hits_are_bit_identical(self, llama_h100_perf):
         first = llama_h100_perf.prompt_latency(1024)
@@ -261,13 +187,5 @@ class TestTokenLatencySeries:
         scalar = [llama_h100_perf.token_latency(16, 20000 + i * 16) for i in range(40)]
         assert list(series) == scalar  # bit-identical, not approx
 
-    def test_profiled_series_matches_scalar_calls_exactly(self, llama_h100_perf):
-        profiled = ProfiledPerformanceModel.from_model(llama_h100_perf)
-        series = profiled.token_latency_series(8, 9000, 8, 25)
-        scalar = [profiled.token_latency(8, 9000 + i * 8) for i in range(25)]
-        assert list(series) == scalar
-
     def test_empty_series(self, llama_h100_perf):
         assert list(llama_h100_perf.token_latency_series(4, 100, 4, 0)) == []
-        profiled = ProfiledPerformanceModel.from_model(llama_h100_perf)
-        assert list(profiled.token_latency_series(4, 100, 4, 0)) == []

@@ -193,13 +193,6 @@ class TestTrace:
         assert loaded[0].prompt_tokens == trace[0].prompt_tokens
         assert loaded[-1].arrival_time_s == pytest.approx(trace[-1].arrival_time_s, abs=1e-5)
 
-    def test_json_roundtrip(self, tmp_path):
-        trace = generate_trace("conversation", rate_rps=2, duration_s=10, seed=3)
-        path = trace.to_json(tmp_path / "trace.json")
-        loaded = Trace.from_json(path)
-        assert len(loaded) == len(trace)
-        assert loaded.metadata["workload"] == "conversation"
-
     def test_token_count_accessors(self, tiny_trace):
         assert tiny_trace.prompt_token_counts() == [512, 1024, 256, 2048]
         assert tiny_trace.output_token_counts() == [8, 4, 16, 2]
