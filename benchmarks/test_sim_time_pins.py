@@ -13,7 +13,11 @@ autoscaler, a mixed-tenant fleet behind the burst provisioner, and a
 single-process scenario also pins a digest of its simulated state: the
 engine counters, the machines' summed coalescing counters, and sha256
 prefixes over every request's token times and outcome and over every
-cluster's machine stats and token-log boundaries.
+cluster's machine stats and token-log boundaries.  A second digest pins the
+bits of what a run is judged by: every SLO slowdown with its sample counts
+(``slo_report()`` of a cluster run; ``tenant_slo_report()`` of a fleet run,
+per tenant and rolled up) and every ``request_metrics()`` field of a cluster
+run.
 
 Nothing here is timed and no file is written: wall-clock performance is
 measured by ``perfbench/`` alone.  The module lives under ``benchmarks/``
@@ -23,6 +27,7 @@ the 40-machine burst on every queue-metric read.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 
@@ -135,6 +140,42 @@ def _digest(simulation, result) -> tuple:
     )
 
 
+#: sha256 prefix of :func:`_report_digest` for each single-process scenario.
+EXPECTED_REPORT_DIGEST = {
+    "4-machine": "ed35ae76b108a465",
+    "16-machine": "23d57683ef564e5e",
+    "40-machine": "e0f9563a18a55b76",
+    "diurnal-autoscale": "bd0781353e3c1f07",
+    "fleet-burst": "6c35cd803e772bbe",
+    "fleet-parallel": "332556ff88855964",
+}
+
+
+def _bits(value) -> object:
+    """``value`` with every float spelled exactly (``float.hex``), recursively."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    return value
+
+
+def _slo_bits(report) -> tuple:
+    slowdowns = sorted((metric, pct, value.hex()) for (metric, pct), value in report.slowdowns.items())
+    return tuple(slowdowns), tuple(sorted(report.samples.items()))
+
+
+def _report_digest(simulation, result) -> str:
+    """Hash prefix over the evaluation reports of one finished single-process run."""
+    if hasattr(simulation, "clusters"):
+        tenant_report = result.tenant_slo_report()
+        reports = [(tenant, _slo_bits(report)) for tenant, report in sorted(tenant_report.tenants.items())]
+        reports.append(("fleet", _slo_bits(tenant_report.fleet)))
+    else:
+        reports = [("slo", _slo_bits(result.slo_report())), ("metrics", _bits(result.request_metrics()))]
+    return hashlib.sha256(repr(reports).encode()).hexdigest()[:16]
+
+
 @functools.cache
 def _run(name: str) -> dict:
     """Run one scenario once per session and return its simulation counters."""
@@ -146,12 +187,13 @@ def _run(name: str) -> dict:
     if info is not None and info.get("mode") == "parallel":
         counters = (info["events_processed"], info["events_cancelled"], info["events_coalesced"])
         workers = info["workers"]
-        digest = None
+        digest = report_digest = None
     else:
         engine = simulation.engine
         counters = (engine.events_processed, engine.events_cancelled, engine.events_coalesced)
         workers = 0
         digest = _digest(simulation, result)
+        report_digest = _report_digest(simulation, result)
     return {
         "requests": len(trace),
         "completed": len(result.completed_requests),
@@ -162,6 +204,7 @@ def _run(name: str) -> dict:
         "events_coalesced": counters[2],
         "workers": workers,
         "digest": digest,
+        "report_digest": report_digest,
     }
 
 
@@ -176,6 +219,11 @@ def test_sim_time_pin(name):
 @pytest.mark.parametrize("name", list(EXPECTED_DIGEST))
 def test_simulated_state_digest(name):
     assert dict(zip(DIGEST_FIELDS, _run(name)["digest"])) == dict(zip(DIGEST_FIELDS, EXPECTED_DIGEST[name]))
+
+
+@pytest.mark.parametrize("name", list(EXPECTED_REPORT_DIGEST))
+def test_evaluation_report_digest(name):
+    assert _run(name)["report_digest"] == EXPECTED_REPORT_DIGEST[name]
 
 
 def test_sharded_fleet_matches_serial():
