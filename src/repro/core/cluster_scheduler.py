@@ -279,7 +279,11 @@ class ClusterScheduler:
         #: Visible-latency multiplier applied to newly scheduled KV transfers
         #: (fault plane; 1.0 = healthy interconnect).
         self._kv_degradation = 1.0
-        self.completed_requests: list[Request] = []
+        #: Ids of the requests completed here, in completion order.  Ids, not
+        #: requests: the scheduler and its machines reference each other
+        #: (completion callbacks), so whatever they hold outlives a dropped
+        #: result until a full garbage collection.
+        self.completed_request_ids: list[int] = []
         self.restarted_requests: list[Request] = []
         self.pool_switches = 0
         #: Invoked after a machine fails and moves to the failed pool (set by the
@@ -757,7 +761,7 @@ class ClusterScheduler:
 
     def _handle_request_complete(self, request: Request, machine: SimulatedMachine) -> None:
         del machine
-        self.completed_requests.append(request)
+        self.completed_request_ids.append(request.request_id)
         self._assignments.pop(request.request_id, None)
         if self.on_request_complete is not None:
             self.on_request_complete(request)
@@ -782,7 +786,7 @@ class ClusterScheduler:
 
     def outstanding_requests(self) -> Iterable[Request]:
         """Requests routed but not yet completed."""
-        seen = {r.request_id for r in self.completed_requests}
+        seen = set(self.completed_request_ids)
         for machine in self.machines:
             for request in list(machine.pending_prompts) + machine.token_pool:
                 if request.request_id not in seen:

@@ -689,11 +689,9 @@ class SimulatedMachine:
         if count < _MIN_COALESCED_ITERATIONS:
             return False
 
-        durations = self.performance.token_latency_series(
+        durations = array("d", self.performance.token_latency_series(
             token_requests, plan.context_tokens, token_requests, count
-        )
-        if not isinstance(durations, array):
-            durations = array("d", durations)
+        ).tobytes())
         energies = self.power.token_energy_series(token_requests, durations)
         # Boundary j is the end of coalesced iteration j, accumulated with the
         # same left-to-right float additions the event clock would perform.

@@ -134,7 +134,7 @@ def fig5_latency(
             spec = get_workload(workload)
             prompts = spec.prompt_tokens.sample(rng, num_requests)
             outputs = spec.output_tokens.sample(rng, num_requests)
-            latencies = [perf.e2e_latency(int(p), int(o)) for p, o in zip(prompts, outputs)]
+            latencies = perf.unbatched_latencies(prompts, outputs)[2]
             e2e[f"{workload}-{model.name}"] = {
                 "p50": float(np.percentile(latencies, 50)),
                 "p90": float(np.percentile(latencies, 90)),
@@ -248,11 +248,8 @@ def table4_gpu_comparison(
             perf = AnalyticalPerformanceModel(model, machine)
             power = PowerModel(model, machine)
             ttfts, tbts, e2es, energies = [], [], [], []
-            for p, o in zip(prompts, outputs):
-                p, o = int(p), int(o)
-                prompt_latency = perf.ttft(p)
-                token_latency = perf.tbt(1, p)
-                e2e = perf.e2e_latency(p, o)
+            ref_ttft, ref_tbt, ref_e2e = (a.tolist() for a in perf.unbatched_latencies(prompts, outputs))
+            for p, prompt_latency, token_latency, e2e in zip(prompts.tolist(), ref_ttft, ref_tbt, ref_e2e):
                 ttfts.append(prompt_latency * 1e3)
                 tbts.append(token_latency * 1e3)
                 e2es.append(e2e * 1e3)

@@ -228,39 +228,53 @@ def evaluate_slo(
     if not completed:
         raise ValueError("no completed requests to evaluate against the SLO")
 
-    ttft_slowdowns: list[float] = []
-    e2e_slowdowns: list[float] = []
-    # Pooled per-token TBT slowdowns are the one genuinely large series
-    # (every generated token contributes a gap): each request's interval
-    # array is divided by its reference TBT in one vectorized operation —
-    # identical float64 divisions to the old per-gap loop — and the pool is
-    # a single concatenation instead of millions of list appends.
-    tbt_parts: list[np.ndarray] = []
-    for request in completed:
-        ref_ttft = reference_model.ttft(request.prompt_tokens)
-        ref_tbt = reference_model.tbt(1, request.prompt_tokens)
-        ref_e2e = reference_model.e2e_latency(request.prompt_tokens, request.output_tokens)
-        if request.ttft is not None and ref_ttft > 0:
-            ttft_slowdowns.append(request.ttft / ref_ttft)
-        if ref_tbt > 0:
-            gaps = request.token_intervals_np
-            if gaps.size:
-                tbt_parts.append(gaps / ref_tbt)
-        if request.e2e_latency is not None and ref_e2e > 0:
-            e2e_slowdowns.append(request.e2e_latency / ref_e2e)
-
-    tbt_pool = np.concatenate(tbt_parts) if tbt_parts else np.empty(0, dtype=np.float64)
+    ref_ttft, ref_tbt, ref_e2e = reference_model.unbatched_latencies(
+        [r.prompt_tokens for r in completed], [r.output_tokens for r in completed]
+    )
+    # None (no first token / no completion) reads as nan and is dropped.
+    ttft = np.array([r.ttft for r in completed], dtype=np.float64)
+    e2e = np.array([r.e2e_latency for r in completed], dtype=np.float64)
+    ttft_kept = ~np.isnan(ttft) & (ref_ttft > 0)
+    e2e_kept = ~np.isnan(e2e) & (ref_e2e > 0)
     series: dict[str, np.ndarray] = {
-        "ttft": np.asarray(ttft_slowdowns, dtype=np.float64),
-        "tbt": tbt_pool,
-        "e2e": np.asarray(e2e_slowdowns, dtype=np.float64),
+        "ttft": ttft[ttft_kept] / ref_ttft[ttft_kept],
+        "tbt": _tbt_slowdown_pool(completed, ref_tbt.tolist()),
+        "e2e": e2e[e2e_kept] / ref_e2e[e2e_kept],
     }
-    slowdowns: dict[tuple[str, float], float] = {}
-    for (metric, pct), _limit in policy.limits().items():
-        values = series[metric]
-        slowdowns[(metric, pct)] = float(np.percentile(values, pct)) if values.size else float("nan")
     samples = {metric: int(values.size) for metric, values in series.items()}
-    return SloReport(slowdowns=slowdowns, limits=policy.limits(), samples=samples)
+    limits = policy.limits()
+    slowdowns: dict[tuple[str, float], float] = {}
+    for metric, values in series.items():
+        keys = [key for key in limits if key[0] == metric]
+        if not values.size:
+            slowdowns.update(dict.fromkeys(keys, float("nan")))
+        elif keys:
+            # One partition for all of a metric's percentiles; the series is
+            # ours, so numpy may partition it in place.
+            points = np.percentile(values, [pct for _, pct in keys], overwrite_input=True)
+            slowdowns.update(zip(keys, points.tolist()))
+    return SloReport(slowdowns=slowdowns, limits=limits, samples=samples)
+
+
+def _tbt_slowdown_pool(completed: list[Request], ref_tbt: list[float]) -> np.ndarray:
+    """Every token gap of ``completed``, divided by its request's reference TBT.
+
+    One preallocated buffer: each request's gaps are subtracted straight
+    into its segment and divided there (the float64 operations of
+    ``np.diff(times) / ref``), so no per-request array or concatenated copy
+    of the token times is built.
+    """
+    counts = [len(r.token_times) - 1 for r in completed]
+    pool = np.empty(sum(count for count, ref in zip(counts, ref_tbt) if count > 0 and ref > 0))
+    start = 0
+    for request, count, ref in zip(completed, counts, ref_tbt):
+        if count > 0 and ref > 0:
+            times = np.frombuffer(request.token_times)
+            segment = pool[start : start + count]
+            np.subtract(times[1:], times[:-1], out=segment)
+            segment /= ref
+            start += count
+    return pool
 
 
 def evaluate_slo_by_tenant(

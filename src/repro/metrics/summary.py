@@ -52,20 +52,21 @@ class LatencySummary:
         """Summarize a non-empty sequence of latency samples.
 
         Accepts any sequence (including a numpy array) without an
-        intermediate list copy; all five statistics come from one
-        vectorized pass over the packed samples.
+        intermediate list copy; the three percentiles come from one
+        ``np.percentile`` call (one partition of the samples).
         """
         if not isinstance(values, (Sequence, np.ndarray)):
             values = list(values)  # one-shot iterables (generators) stay accepted
         data = np.asarray(values, dtype=float)
         if data.size == 0:
             raise ValueError("cannot summarize an empty sequence")
+        p50, p90, p99 = np.percentile(data, [50, 90, 99]).tolist()
         return cls(
             count=int(data.size),
             mean=float(data.mean()),
-            p50=float(np.percentile(data, 50)),
-            p90=float(np.percentile(data, 90)),
-            p99=float(np.percentile(data, 99)),
+            p50=p50,
+            p90=p90,
+            p99=p99,
             max=float(data.max()),
         )
 
@@ -114,7 +115,7 @@ def summarize_requests(requests: Iterable[Request], duration_s: float | None = N
     ttfts = [r.ttft for r in completed if r.ttft is not None]
     e2es = [r.e2e_latency for r in completed if r.e2e_latency is not None]
     # Requests that emit a single token have no TBT sample; skip them.
-    tbts = [r.mean_tbt for r in completed if r.mean_tbt is not None]
+    tbts = [tbt for tbt in (r.mean_tbt for r in completed) if tbt is not None]
     if not tbts:
         tbts = [0.0]
     if duration_s is None:

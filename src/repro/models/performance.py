@@ -21,8 +21,10 @@ what makes mixed batching inflate TBT in the paper's Fig. 2(c).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from array import array
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.hardware.machine import MachineSpec
 from repro.models.llm import ModelSpec
@@ -117,6 +119,16 @@ class PerformanceModel(ABC):
         """
 
     @abstractmethod
+    def token_latency_series(
+        self, token_requests: int, context_start: int, context_step: int, count: int
+    ) -> np.ndarray:
+        """:meth:`token_latency` at ``count`` contexts ``context_start + i * context_step``.
+
+        Bit-identical to ``count`` calls of :meth:`token_latency`: a float64
+        array, empty when ``count <= 0`` or ``token_requests == 0``.
+        """
+
+    @abstractmethod
     def invalidate_caches(self) -> None:
         """Drop memoized latency entries (:meth:`set_slowdown` calls this)."""
 
@@ -144,16 +156,58 @@ class PerformanceModel(ABC):
     def e2e_latency(self, prompt_tokens: int, output_tokens: int) -> float:
         """End-to-end latency of one request run alone (no batching, Fig. 5c).
 
-        The first output token comes from the prompt phase; the remaining
-        ``output_tokens - 1`` each take one decode iteration whose context
-        grows as tokens accumulate.
+        The one-request case of :meth:`unbatched_latencies`.
         """
-        if output_tokens < 1:
-            raise ValueError(f"output_tokens must be >= 1, got {output_tokens}")
-        total = self.prompt_latency(prompt_tokens)
-        for i in range(1, output_tokens):
-            total += self.token_latency(1, prompt_tokens + i)
-        return total
+        return float(self.unbatched_latencies([prompt_tokens], [output_tokens])[2][0])
+
+    def unbatched_latencies(
+        self, prompt_tokens: Sequence[int] | np.ndarray, output_tokens: Sequence[int] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """TTFT, TBT and E2E of each request run alone (Fig. 5), as float64 arrays.
+
+        Request ``i`` with prompt ``p`` and output ``o`` gets TTFT
+        ``prompt_latency(p)``, TBT ``token_latency(1, p)`` and E2E
+        ``prompt_latency(p) + token_latency(1, p + 1) + ... +
+        token_latency(1, p + o - 1)``: the first output token comes from the
+        prompt phase, and each later one takes a decode iteration whose
+        context has grown by one token.
+
+        Every decode latency comes from one :meth:`token_latency_series`
+        table over the contexts the requests reach.  Each E2E is the last
+        element of its row's ``np.cumsum``, which adds left to right exactly
+        as a per-token loop would (``np.sum`` would add pairwise), so every
+        value is bit-identical to that loop.  Rows are laid out longest
+        first, a block of at most :data:`_E2E_BLOCK_CELLS` cells (or one row)
+        at a time, so memory stays bounded on any trace.
+        """
+        prompts = np.asarray(prompt_tokens, dtype=np.int64)
+        outputs = np.asarray(output_tokens, dtype=np.int64)
+        if prompts.shape != outputs.shape or prompts.ndim != 1:
+            raise ValueError("prompt_tokens and output_tokens must be 1-D and of equal length")
+        if not prompts.size:
+            return np.empty(0), np.empty(0), np.empty(0)
+        if outputs.min() < 1:
+            raise ValueError(f"output_tokens must be >= 1, got {int(outputs.min())}")
+        first = int(prompts.min())
+        widest = int(outputs.max())
+        # table[c - first] == token_latency(1, c) for every context a row reads.
+        table = self.token_latency_series(1, first, 1, int(prompts.max()) + widest - first)
+        ttft = np.array([self.prompt_latency(p) for p in prompts.tolist()], dtype=np.float64)
+        tbt = table[prompts - first]
+        e2e = np.empty(prompts.size)
+        order = np.argsort(-outputs, kind="stable")
+        start = 0
+        while start < order.size:
+            width = int(outputs[order[start]])
+            rows = order[start : start + max(1, _E2E_BLOCK_CELLS // width)]
+            block = np.empty((rows.size, width))
+            block[:, 0] = ttft[rows]
+            contexts = (prompts[rows] + 1 - first)[:, None] + np.arange(width - 1)
+            block[:, 1:] = table[contexts]
+            np.cumsum(block, axis=1, out=block)
+            e2e[rows] = block[np.arange(rows.size), outputs[rows] - 1]
+            start += rows.size
+        return ttft, tbt, e2e
 
     def prompt_throughput(self, prompt_tokens: int) -> float:
         """Prompt tokens processed per second at the given batch size (Fig. 6a)."""
@@ -197,6 +251,10 @@ _REFERENCE_GPU = "H100"
 #: entries, bounding memory on million-token traces whose coalesced decode
 #: runs touch a long tail of unique (batch, context) keys.
 _MAX_MEMO_ENTRIES = 1 << 16
+
+#: Cells (float64) of one block of :meth:`PerformanceModel.unbatched_latencies`
+#: rows: 2 MiB, which bounds what one block holds on any trace.
+_E2E_BLOCK_CELLS = 1 << 18
 
 
 def _gpu_family(machine: MachineSpec) -> str:
@@ -247,6 +305,9 @@ class AnalyticalPerformanceModel(PerformanceModel):
         self._power = PowerModel(model, machine)
         self._prompt_coeffs = self._resolve_prompt_coeffs()
         self._token_coeffs = self._resolve_token_coeffs()
+        self._kv_bytes_per_token = model.kv_bytes_per_token
+        #: Bytes per second the decode kernels stream KV-cache from HBM.
+        self._kv_read_bandwidth = machine.total_hbm_bandwidth_gbps * 1e9 * KV_READ_EFFICIENCY
         self._prompt_cache: dict[int, float] = {}
         self._token_cache: dict[tuple[int, int], float] = {}
 
@@ -334,56 +395,48 @@ class AnalyticalPerformanceModel(PerformanceModel):
     def token_latency_uncached(self, token_requests: int, context_tokens: int) -> float:
         """Decode latency for a transient key, skipping the memo table.
 
-        The single copy of the decode-latency formula: :meth:`token_latency`
-        is the memo wrapper around it, and rotating batches — which never
-        repeat a ``(token_requests, context_tokens)`` key — call it directly
-        so the table doesn't churn.
+        :meth:`token_latency` is the memo wrapper around it, and rotating
+        batches — which never repeat a ``(token_requests, context_tokens)``
+        key — call it directly so the table doesn't churn.
         """
         if token_requests <= 0:
             return 0.0
-        d0, d1 = self._token_coeffs
-        latency_ms = d0 + d1 * token_requests + self._kv_read_ms(context_tokens)
-        if self.apply_power_cap:
-            latency_ms *= self._power.token_cap_slowdown(token_requests)
-        if self.slowdown_factor != 1.0:
-            latency_ms *= self.slowdown_factor
-        return latency_ms / 1e3
+        if context_tokens < 0:
+            raise ValueError(f"context_tokens must be non-negative, got {context_tokens}")
+        return float(self._decode_latency(token_requests, context_tokens))
 
     def token_latency_series(
         self, token_requests: int, context_start: int, context_step: int, count: int
-    ) -> array:
-        """Inlined decode-latency series for a coalesced run.
+    ) -> np.ndarray:
+        """Decode latencies of a coalesced run, or of a table over contexts.
 
-        Reproduces :meth:`token_latency` operation-for-operation (same float
-        order) but skips the memo table — the growing-context keys of a
-        coalesced run are transient and would only churn the cache.
+        One vectorized pass of :meth:`_decode_latency` (the same float
+        operations per element as :meth:`token_latency_uncached`), skipping
+        the memo table — the growing-context keys of a coalesced run are
+        transient and would only churn the cache.
         """
         if token_requests < 0:
             raise ValueError(f"token_requests must be non-negative, got {token_requests}")
-        latencies = array("d")
         if count <= 0 or token_requests == 0:
-            return latencies
-        d0, d1 = self._token_coeffs
-        base_ms = d0 + d1 * token_requests
-        apply_cap = self.apply_power_cap
-        slowdown = self._power.token_cap_slowdown(token_requests) if apply_cap else 1.0
-        straggler = self.slowdown_factor
-        apply_straggler = straggler != 1.0
-        kv_read_ms = self._kv_read_ms
-        append = latencies.append
-        context = context_start
-        for _ in range(count):
-            latency_ms = base_ms + kv_read_ms(context)
-            if apply_cap:
-                latency_ms *= slowdown
-            if apply_straggler:
-                latency_ms *= straggler
-            append(latency_ms / 1e3)
-            context += context_step
-        return latencies
+            return np.empty(0)
+        if min(context_start, context_start + (count - 1) * context_step) < 0:
+            raise ValueError("context_tokens must be non-negative")
+        contexts = np.arange(count, dtype=np.int64)
+        contexts *= context_step
+        contexts += context_start
+        return self._decode_latency(token_requests, contexts)
 
-    def _kv_read_ms(self, context_tokens: int | float) -> float:
-        """Milliseconds spent streaming the batched KV-cache from HBM."""
-        kv_bytes = self.model.kv_cache_bytes(context_tokens)
-        bandwidth = self.machine.total_hbm_bandwidth_gbps * 1e9 * KV_READ_EFFICIENCY
-        return kv_bytes / bandwidth * 1e3
+    def _decode_latency(self, token_requests: int, context_tokens: int | np.ndarray) -> float | np.ndarray:
+        """The single copy of the decode-latency formula, in seconds.
+
+        Takes one context or an array of them; numpy applies each operation
+        elementwise in the order written, so both give the same bits.
+        """
+        d0, d1 = self._token_coeffs
+        kv_read_ms = self._kv_bytes_per_token * context_tokens / self._kv_read_bandwidth * 1e3
+        latency_ms = d0 + d1 * token_requests + kv_read_ms
+        if self.apply_power_cap:
+            latency_ms = latency_ms * self._power.token_cap_slowdown(token_requests)
+        if self.slowdown_factor != 1.0:
+            latency_ms = latency_ms * self.slowdown_factor
+        return latency_ms / 1e3

@@ -316,11 +316,17 @@ class Request:
 
     @property
     def mean_tbt(self) -> float | None:
-        """Average time between tokens (None when fewer than two tokens)."""
-        gaps = self.token_intervals
-        if not gaps:
+        """Average time between tokens (None when fewer than two tokens).
+
+        The gaps are added left to right (``np.cumsum``), as Python 3.11's
+        built-in ``sum`` adds floats; ``sum`` compensates from 3.12 on, which
+        would make the value, and the routing decisions it feeds, depend on
+        the interpreter.
+        """
+        gaps = self.token_intervals_np
+        if not gaps.size:
             return None
-        return sum(gaps) / len(gaps)
+        return float(np.cumsum(gaps)[-1] / gaps.size)
 
     @property
     def max_tbt(self) -> float | None:

@@ -43,15 +43,21 @@ class TraceGenerator:
         count = len(arrivals)
         prompts = self.workload.prompt_tokens.sample(rng, count)
         outputs = self.workload.output_tokens.sample(rng, count)
+        # One conversion per array instead of a numpy scalar per field.
+        columns = zip(
+            np.asarray(arrivals, dtype=np.float64).tolist(),
+            np.asarray(prompts, dtype=np.int64).tolist(),
+            np.asarray(outputs, dtype=np.int64).tolist(),
+        )
         requests = tuple(
             RequestDescriptor(
                 request_id=i,
-                arrival_time_s=float(arrivals[i]),
-                prompt_tokens=int(prompts[i]),
-                output_tokens=int(outputs[i]),
+                arrival_time_s=arrival,
+                prompt_tokens=prompt,
+                output_tokens=output,
                 tenant=self.tenant,
             )
-            for i in range(count)
+            for i, (arrival, prompt, output) in enumerate(columns)
         )
         name = f"{self.workload.name}-{self.arrival.rate_rps:g}rps-seed{self.seed}"
         metadata = {

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from unittest import mock
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kv_transfer import KVTransferModel, TransferMode
 from repro.hardware.interconnect import INFINIBAND_200, INFINIBAND_400
 from repro.hardware.machine import DGX_A100, DGX_H100
 from repro.models.llm import BLOOM_176B, LLAMA2_70B
+from repro.models import performance
 from repro.models.memory import MemoryModel
 from repro.models.performance import AnalyticalPerformanceModel
 from repro.models.power import PowerModel
@@ -58,6 +61,43 @@ class TestPerformanceModelProperties:
     @given(prompt_tokens, st.integers(min_value=1, max_value=64))
     def test_e2e_at_least_ttft(self, tokens, outputs):
         assert _PERF_H100.e2e_latency(tokens, outputs) >= _PERF_H100.ttft(tokens)
+
+
+def _per_token_e2e(perf, prompt, output):
+    """A request's unbatched E2E as a per-token loop: the oracle of the batched path."""
+    total = perf.prompt_latency(prompt)
+    for i in range(1, output):
+        total += perf.token_latency(1, prompt + i)
+    return total
+
+
+class TestUnbatchedLatencies:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([LLAMA2_70B, BLOOM_176B]),
+        st.sampled_from([DGX_A100, DGX_H100]),
+        st.sampled_from([1.0, 1.7]),
+        st.lists(
+            st.tuples(st.integers(0, 8192), st.one_of(st.just(1), st.integers(1, 600))), min_size=1, max_size=12
+        ),
+        # Block sizes from one row per block up to the whole batch in one.
+        st.sampled_from([1, 64, 1 << 18]),
+    )
+    def test_batched_reference_matches_per_token_loop_bit_for_bit(
+        self, model, machine, straggler, requests, block_cells
+    ):
+        perf = AnalyticalPerformanceModel(model, machine)
+        if straggler != 1.0:
+            perf.set_slowdown(straggler)
+        prompts, outputs = zip(*requests)
+        with mock.patch.object(performance, "_E2E_BLOCK_CELLS", block_cells):
+            ttft, tbt, e2e = perf.unbatched_latencies(prompts, outputs)
+        for i, (prompt, output) in enumerate(requests):
+            assert float(e2e[i]).hex() == _per_token_e2e(perf, prompt, output).hex()
+            assert float(ttft[i]).hex() == perf.prompt_latency(prompt).hex()
+            assert float(tbt[i]).hex() == perf.token_latency(1, prompt).hex()
+        prompt, output = requests[-1]
+        assert perf.e2e_latency(prompt, output).hex() == _per_token_e2e(perf, prompt, output).hex()
 
 
 class TestPowerModelProperties:

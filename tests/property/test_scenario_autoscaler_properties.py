@@ -108,7 +108,7 @@ class TestAutoscalerInvariants:
         simulation = ClusterSimulation(splitwise_hh(3, 2), autoscaler=config)
         result = simulation.run(trace)
         assert result.completion_rate == 1.0
-        completed_ids = [r.request_id for r in simulation.scheduler.completed_requests]
+        completed_ids = simulation.scheduler.completed_request_ids
         assert len(completed_ids) == len(set(completed_ids)) == len(trace)
         for request in result.requests:
             assert request.generated_tokens == request.output_tokens

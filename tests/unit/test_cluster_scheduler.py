@@ -152,7 +152,7 @@ class TestLifecycleCallbacks:
             scheduler.submit(request)
         engine.run()
         assert all(r.is_complete for r in requests)
-        assert len(scheduler.completed_requests) == 4
+        assert sorted(scheduler.completed_request_ids) == [0, 1, 2, 3]
         assert list(scheduler.outstanding_requests()) == []
 
     def test_kv_transfer_recorded_between_machines(self, split_cluster):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.simulation.engine import SimulationEngine
@@ -300,6 +302,24 @@ class TestTokenIntervals:
             request.token_times.append(time)
         assert request.token_intervals == pytest.approx([0.1, 0.15, 0.1])
         assert request.token_intervals == request.token_intervals_np.tolist()
+
+    def test_mean_tbt_adds_gaps_left_to_right(self):
+        from repro.workload.trace import RequestDescriptor
+
+        request = Request(
+            descriptor=RequestDescriptor(request_id=0, arrival_time_s=0.0, prompt_tokens=8, output_tokens=5)
+        )
+        for time in (0.656, 0.894, 1.89, 2.166, 2.225):
+            request.token_times.append(time)
+        gaps = request.token_intervals
+        total = 0.0
+        for gap in gaps:
+            total += gap
+        # Gaps whose compensated sum (built-in ``sum`` from Python 3.12 on)
+        # differs from the left-to-right one.
+        assert total != math.fsum(gaps)
+        assert request.mean_tbt == total / len(gaps)
+        assert request.mean_tbt != math.fsum(gaps) / len(gaps)
 
     def test_token_times_is_a_packed_array(self):
         from array import array
