@@ -25,7 +25,7 @@ Quickstart::
 """
 
 from repro.core.autoscaler import AutoscalerConfig, PoolAutoscaler
-from repro.core.cluster import ClusterSimulation, SimulationResult, simulate_design, simulate_designs
+from repro.core.cluster import ClusterSimulation, SimulationResult, simulate_design
 from repro.core.cluster_scheduler import ClusterScheduler
 from repro.core.designs import (
     ClusterDesign,
@@ -60,7 +60,6 @@ from repro.models.llm import BLOOM_176B, LLAMA2_70B, ModelSpec
 from repro.models.memory import MemoryModel
 from repro.models.performance import (
     AnalyticalPerformanceModel,
-    BatchSpec,
     PerformanceModel,
 )
 from repro.models.power import PowerModel
@@ -73,10 +72,8 @@ from repro.workload.scenarios import (
     PiecewiseRateArrival,
     Scenario,
     SinusoidalDiurnalArrival,
-    concat_traces,
     get_scenario,
     mix_traces,
-    splice_traces,
 )
 from repro.workload.trace import RequestDescriptor, Trace
 
@@ -100,7 +97,6 @@ __all__ = [
     "PowerModel",
     "PerformanceModel",
     "AnalyticalPerformanceModel",
-    "BatchSpec",
     # workload
     "WorkloadSpec",
     "CODING_WORKLOAD",
@@ -117,8 +113,6 @@ __all__ = [
     "Scenario",
     "SCENARIO_PRESETS",
     "get_scenario",
-    "concat_traces",
-    "splice_traces",
     "mix_traces",
     # simulation
     "Request",
@@ -134,7 +128,6 @@ __all__ = [
     "ClusterSimulation",
     "SimulationResult",
     "simulate_design",
-    "simulate_designs",
     "ClusterDesign",
     "baseline_a100",
     "baseline_h100",

@@ -17,7 +17,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.models.performance import BatchSpec
 from repro.simulation.request import Request
 
 #: Default cap on batched prompt tokens per iteration (Insight IV / §IV-B:
@@ -124,14 +123,6 @@ class BatchPlan:
     def active_tokens(self) -> int:
         """Active tokens as defined in Fig. 4."""
         return self.prompt_tokens + len(self.token_requests)
-
-    def to_batch_spec(self) -> BatchSpec:
-        """Convert to the performance-model batch description."""
-        return BatchSpec(
-            prompt_tokens=self.prompt_tokens,
-            token_requests=len(self.token_requests),
-            context_tokens=self.context_tokens,
-        )
 
 
 class BatchingPolicy(ABC):

@@ -510,7 +510,3 @@ class RotationForest:
                 request.priority_boost = boost
                 flat.append(request)
         return flat
-
-    def total_size(self) -> int:
-        """Live member count (for cross-checks)."""
-        return sum(level.size for level in self.levels)

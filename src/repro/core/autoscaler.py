@@ -26,7 +26,7 @@ and across fast-forward on/off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.cluster_scheduler import ClusterScheduler, total_queue_load
 from repro.core.machine import MachineRole, SimulatedMachine
@@ -139,9 +139,6 @@ class PoolAutoscaler:
         self._parked_seconds: dict[str, float] = {}
         #: machine name -> park start time of the currently open interval.
         self._park_started: dict[str, float] = {}
-        #: closed park intervals as (machine, start_s, end_s) — the fleet
-        #: layer intersects these with cluster billing windows.
-        self._park_intervals: list[tuple[str, float, float]] = []
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -173,26 +170,12 @@ class PoolAutoscaler:
         """
         self._note_unparked(machine.name, self._engine.now)
 
-    def stop(self) -> None:
-        """Stop the control loop without closing park intervals.
-
-        Called by the fleet layer once every request has completed: with
-        several recurring controllers on one engine, each one's own
-        "pending_events == 0" drain check never fires (the others' ticks
-        keep the queue non-empty), so the fleet stops them explicitly.
-        Ticks never act after the last completion, so this is
-        behavior-neutral.
-        """
-        if self._task is not None:
-            self._task.cancel()
-
     def finalize(self, end_time_s: float) -> None:
         """Close open park intervals at the end of the simulated window."""
         if self._task is not None:
             self._task.cancel()
         for name, started in list(self._park_started.items()):
             self._parked_seconds[name] = self._parked_seconds.get(name, 0.0) + (end_time_s - started)
-            self._park_intervals.append((name, started, end_time_s))
             del self._park_started[name]
 
     # -- reporting ---------------------------------------------------------------------
@@ -208,19 +191,6 @@ class PoolAutoscaler:
     def active_machine_hours(self, duration_s: float, num_machines: int) -> float:
         """Machine-hours actually consumed over a ``duration_s`` window."""
         return num_machines * duration_s / 3600.0 - self.machine_hours_saved()
-
-    def park_intervals(self) -> list[tuple[str, float, float]]:
-        """Closed park intervals as ``(machine, start_s, end_s)``.
-
-        Call :meth:`finalize` first; the fleet layer intersects these with
-        cluster billing windows so parking only discounts time that was
-        actually billed.
-        """
-        return list(self._park_intervals)
-
-    def parked_seconds_by_machine(self) -> dict[str, float]:
-        """Accumulated closed parked seconds per machine name."""
-        return dict(self._parked_seconds)
 
     def repurpose_count(self) -> int:
         """Number of home-pool re-targets performed."""
@@ -375,4 +345,3 @@ class PoolAutoscaler:
         started = self._park_started.pop(name, None)
         if started is not None:
             self._parked_seconds[name] = self._parked_seconds.get(name, 0.0) + (now - started)
-            self._park_intervals.append((name, started, now))

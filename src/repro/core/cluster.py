@@ -26,14 +26,7 @@ from repro.core.machine import MachineRole, SimulatedMachine
 from repro.hardware.interconnect import infiniband_for
 from repro.hardware.machine import DGX_A100
 from repro.metrics.collectors import BatchOccupancyTracker, MetricsCollector
-from repro.metrics.slo import (
-    DEFAULT_SLO,
-    SloPolicy,
-    SloReport,
-    TenantSloReport,
-    evaluate_slo,
-    evaluate_slo_by_tenant,
-)
+from repro.metrics.slo import DEFAULT_SLO, SloPolicy, SloReport, evaluate_slo
 from repro.metrics.summary import RequestMetrics, summarize_requests
 from repro.models.llm import LLAMA2_70B, ModelSpec
 from repro.models.performance import AnalyticalPerformanceModel, PerformanceModel
@@ -41,7 +34,6 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import ARRIVAL_EVENT_PRIORITY, FAULT_EVENT_PRIORITY
 from repro.simulation.request import Request
 from repro.workload.trace import Trace
-
 
 
 @dataclass
@@ -100,34 +92,9 @@ class SimulationResult:
             reference_model = AnalyticalPerformanceModel(model or LLAMA2_70B, DGX_A100)
         return evaluate_slo(self.requests, reference_model, policy)
 
-    def tenant_slo_report(
-        self,
-        reference_model: PerformanceModel | None = None,
-        policies: dict[str, SloPolicy] | None = None,
-        default_policy: SloPolicy = DEFAULT_SLO,
-        model: ModelSpec | None = None,
-    ) -> TenantSloReport:
-        """Per-tenant SLO verdicts plus the fleet-level roll-up.
-
-        Args:
-            reference_model: Reference performance model; defaults to the
-                model running on an uncontended DGX-A100.
-            policies: Optional per-tenant :class:`SloPolicy` overrides.
-            default_policy: Policy for tenants without an explicit entry.
-            model: LLM used to build the default reference model.
-        """
-        if reference_model is None:
-            reference_model = AnalyticalPerformanceModel(model or LLAMA2_70B, DGX_A100)
-        return evaluate_slo_by_tenant(self.requests, reference_model, policies, default_policy)
-
     def total_energy_wh(self) -> float:
         """Total GPU energy consumed by the cluster in watt-hours."""
         return self.metrics.total_energy_wh()
-
-    def mean_utilization(self) -> float:
-        """Mean machine utilization over the simulated span."""
-        machine_names = [m.name for m in self.scheduler.machines]
-        return self.metrics.mean_utilization(self.duration_s, machine_names)
 
     def occupancy_by_home_role(self, role: MachineRole) -> BatchOccupancyTracker:
         """Merged batch-occupancy CDF of all machines with the given home role (Fig. 17)."""
@@ -267,20 +234,11 @@ class ClusterSimulation:
             for index in range(count)
         ]
 
-    def run(
-        self,
-        trace: Trace,
-        drain: bool = True,
-        horizon_s: float | None = None,
-        failures: Sequence[tuple[float, str]] = (),
-    ) -> SimulationResult:
-        """Replay ``trace`` through the cluster.
+    def run(self, trace: Trace, failures: Sequence[tuple[float, str]] = ()) -> SimulationResult:
+        """Replay ``trace`` through the cluster until every request completes.
 
         Args:
             trace: The request trace to replay.
-            drain: Whether to keep simulating until every request completes
-                (``True``, the default) or stop at the trace end.
-            horizon_s: Optional hard simulated-time limit.
             failures: Optional ``(time_s, machine_name)`` machine failures to
                 inject; affected requests restart from scratch (§IV-E).
 
@@ -296,16 +254,9 @@ class ClusterSimulation:
                 priority=ARRIVAL_EVENT_PRIORITY,
                 tag=f"arrival:{request.request_id}",
             )
-        until = horizon_s if horizon_s is not None else (None if drain else trace.duration_s)
-        self.engine.run(until=until)
-        # A horizon-limited run can stop mid-macro-event: materialize the
-        # coalesced iterations the clock has already passed so partial results
-        # match per-iteration stepping (a no-op after a full drain).  finish()
-        # syncs again for fleet callers; the second pass is a no-op here.
-        for machine in self.machines:
-            machine.sync_fast_forward()
+        self.engine.run()
         duration = max(self.engine.now, trace.duration_s)
-        if self.autoscaler is not None and until is None:
+        if self.autoscaler is not None:
             # The trailing autoscaler tick that observes the drain fires up to
             # one interval after the last real event; excluding that
             # controller-only tail keeps the simulated window comparable with
@@ -363,14 +314,19 @@ class ClusterSimulation:
             )
 
     def finish(self, requests: list[Request], trace_name: str, duration_s: float) -> SimulationResult:
-        """Close out a run and assemble this cluster's :class:`SimulationResult`.
+        """Close out a drained run and assemble this cluster's :class:`SimulationResult`.
 
-        Materializes any still-coalesced fast-forward state (a horizon-limited
-        run can stop mid-macro-event; a no-op after a full drain), finalizes
-        the autoscaler's machine-hour intervals, and packages the result.
+        Every run drains, so no machine may still hold an in-flight
+        iteration, fast-forward run or rotation: that state would mean work
+        the result never sees.  Then the autoscaler's machine-hour intervals
+        are finalized and the result packaged.
+
+        Raises:
+            AccountingError: naming the first machine that still holds
+                in-flight state.
         """
         for machine in self.machines:
-            machine.sync_fast_forward()
+            machine.check_drained()
         if self.autoscaler is not None:
             self.autoscaler.finalize(duration_s)
         return SimulationResult(
@@ -395,12 +351,3 @@ def simulate_design(
     simulation = ClusterSimulation(design=design, model=model, **kwargs)
     return simulation.run(trace, failures=failures)
 
-
-def simulate_designs(
-    designs: Sequence[ClusterDesign],
-    trace: Trace,
-    model: ModelSpec = LLAMA2_70B,
-    **kwargs,
-) -> dict[str, SimulationResult]:
-    """Run the same trace through several designs and key results by design label."""
-    return {design.label: simulate_design(design, trace, model, **kwargs) for design in designs}

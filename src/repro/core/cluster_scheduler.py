@@ -42,7 +42,7 @@ DEFAULT_DECODE_QUEUE_THRESHOLD_TOKENS = 16384
 
 #: Minimum KV-cache headroom a token machine must have before accepting more
 #: work without being considered overloaded.
-DEFAULT_MEMORY_HEADROOM_FRACTION = 0.05
+MEMORY_HEADROOM_FRACTION = 0.05
 
 
 # Precomputed JSQ probe key functions.  Routing probes run for every arrival
@@ -108,9 +108,6 @@ class MachinePool:
 
     def __iter__(self):
         return iter(self.machines)
-
-    def __contains__(self, machine: SimulatedMachine) -> bool:
-        return machine in self._members
 
     def add(self, machine: SimulatedMachine) -> None:
         """Add a machine if not already a member (O(1) membership check)."""
@@ -218,12 +215,10 @@ class ClusterScheduler:
             machine is considered overloaded.
         decode_queue_threshold: Pending decode tokens beyond which a token
             machine is considered overloaded.
-        memory_headroom_fraction: Minimum free KV-cache fraction for a token
-            machine to be considered healthy.
         routing: Request routing policy — ``"jsq"`` (the paper's
             Join-the-Shortest-Queue, default), ``"round-robin"``, or
-            ``"random"``.  The alternatives exist for ablation studies.
-        routing_seed: Seed for the ``"random"`` routing policy.
+            ``"random"`` (seeded with 0).  The alternatives exist for
+            ablation studies.
     """
 
     def __init__(
@@ -234,9 +229,7 @@ class ClusterScheduler:
         split: bool = True,
         prompt_queue_threshold: int = DEFAULT_PROMPT_QUEUE_THRESHOLD_TOKENS,
         decode_queue_threshold: int = DEFAULT_DECODE_QUEUE_THRESHOLD_TOKENS,
-        memory_headroom_fraction: float = DEFAULT_MEMORY_HEADROOM_FRACTION,
         routing: str = "jsq",
-        routing_seed: int = 0,
     ) -> None:
         if routing not in ("jsq", "round-robin", "random"):
             raise ValueError(f"routing must be 'jsq', 'round-robin' or 'random', got {routing!r}")
@@ -245,9 +238,8 @@ class ClusterScheduler:
         self.split = split
         self.prompt_queue_threshold = prompt_queue_threshold
         self.decode_queue_threshold = decode_queue_threshold
-        self.memory_headroom_fraction = memory_headroom_fraction
         self.routing = routing
-        self._routing_rng = random.Random(routing_seed)
+        self._routing_rng = random.Random(0)
         if engine.sanitizer is not None:
             # Routing randomness is drawn in event order, inside callbacks.
             engine.sanitizer.register_stream("routing", run_phase=True)
@@ -396,7 +388,7 @@ class ClusterScheduler:
     def _token_machine_healthy(self, machine: SimulatedMachine) -> bool:
         return (
             machine.pending_decode_tokens <= self.decode_queue_threshold
-            and machine.memory_headroom_fraction > self.memory_headroom_fraction
+            and machine.memory_headroom_fraction > MEMORY_HEADROOM_FRACTION
         )
 
     def _least_loaded_mixed(self, load: Callable[[SimulatedMachine], float]) -> SimulatedMachine | None:

@@ -19,7 +19,7 @@ Splitwise-HA       DGX-H100             DGX-A100
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.hardware.machine import DGX_A100, DGX_H100, DGX_H100_CAPPED, MachineSpec
@@ -85,12 +85,6 @@ class ClusterDesign:
         return f"{self.name} ({self.num_prompt}P, {self.num_token}T)"
 
     # -- derivation ------------------------------------------------------------------
-
-    def resized(self, num_prompt: int, num_token: int | None = None) -> "ClusterDesign":
-        """Return a copy with different machine counts (same machine types)."""
-        if num_token is None:
-            num_token = 0 if not self.split else self.num_token
-        return replace(self, num_prompt=num_prompt, num_token=num_token)
 
 
 # -- factories -------------------------------------------------------------------------

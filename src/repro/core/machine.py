@@ -439,11 +439,6 @@ class SimulatedMachine:
         return self._pool_decode_tokens + self._expected_decode_tokens
 
     @property
-    def pending_prompt_count(self) -> int:
-        """Number of requests waiting for their prompt phase."""
-        return len(self.pending_prompts)
-
-    @property
     def token_pool(self) -> list[Request]:
         """Decoding requests in admission order (materialized read-only view).
 
@@ -500,6 +495,25 @@ class SimulatedMachine:
         if self.home_role is MachineRole.TOKEN:
             return self.has_prompt_work()
         return False
+
+    def check_drained(self) -> None:
+        """Raise unless no iteration, fast-forward run or rotation is in flight.
+
+        A drained run leaves nothing in flight: the cluster checks every
+        machine with this when it closes a run.
+
+        Raises:
+            AccountingError: naming this machine and the in-flight records.
+        """
+        held = [
+            name
+            for name in ("_running_plan", "_ff_boundaries", "_rot_forest", "_rot_selection")
+            if getattr(self, name) is not None
+        ]
+        if held:
+            raise AccountingError(
+                f"machine {self.name}: run ended with {', '.join(held)} still in flight"
+            )
 
     def verify_accounting(self) -> None:
         """Cross-check every incremental counter against a full recount.
@@ -886,18 +900,6 @@ class SimulatedMachine:
         batch = selection.requests()  # the running plan's token list
         selected = {id(request) for request in batch}
         batch[:] = [request for request in self._token_ready if id(request) in selected]
-
-    def sync_fast_forward(self) -> None:
-        """Materialize any coalesced-but-uncommitted iterations up to now.
-
-        Cluster drivers call this after a horizon-limited run so that partial
-        results match what per-iteration stepping would have produced by the
-        same simulated time.  A rotation forest is flattened back so its
-        boosts and flat view are materialized for post-run readers.
-        A no-op when nothing is coalesced.
-        """
-        self._ff_sync()
-        self._rotation_interrupt()
 
     def interrupt_coalescing(self) -> None:
         """Fall back to exact per-iteration stepping before an external transition.

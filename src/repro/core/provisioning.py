@@ -2,13 +2,13 @@
 
 Given a design family (e.g. Splitwise-HA), a workload (token-size
 distributions), SLOs, and an optimization goal, the provisioner sweeps
-machine counts and/or request rates through the cluster simulator and picks
-the configuration that meets the SLO while optimizing the goal:
+machine counts or request rates through the cluster simulator:
 
 * **iso-throughput, cost- or power-optimized** — find the cheapest (or lowest
-  provisioned power) machine counts that sustain a target request rate;
-* **iso-cost / iso-power, throughput-optimized** — find, under a cost or
-  power budget, the machine counts and the maximum request rate they sustain.
+  provisioned power) machine counts that sustain a target request rate
+  (:meth:`Provisioner.size_for_throughput`);
+* **sustainable rate** — the highest rate of a grid one design sustains
+  (:meth:`Provisioner.max_throughput`), behind the headline claims.
 
 Feasibility of a (design, rate) point requires that (almost) all requests
 complete within the simulated window and that all nine Table VI SLO
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from repro.core.cluster import SimulationResult, simulate_design
 from repro.core.designs import ClusterDesign, build_design
-from repro.hardware.machine import DGX_A100, MachineSpec
+from repro.hardware.machine import DGX_A100
 from repro.metrics.slo import DEFAULT_SLO, SloPolicy, SloReport
 from repro.metrics.summary import RequestMetrics
 from repro.models.llm import LLAMA2_70B, ModelSpec
@@ -37,7 +37,6 @@ from repro.workload.trace import Trace
 class OptimizationGoal(enum.Enum):
     """What the provisioning search minimizes or maximizes."""
 
-    THROUGHPUT = "throughput"
     COST = "cost"
     POWER = "power"
 
@@ -50,22 +49,10 @@ class ProvisioningConstraints:
         slo: Latency SLO every candidate must meet.
         min_completion_rate: Minimum fraction of trace requests that must
             complete (guards against configurations whose queues blow up).
-        max_cost_per_hour: Optional cost budget ($/hr).
-        max_power_kw: Optional provisioned power budget (kW).
     """
 
     slo: SloPolicy = DEFAULT_SLO
     min_completion_rate: float = 0.98
-    max_cost_per_hour: float | None = None
-    max_power_kw: float | None = None
-
-    def within_budget(self, design: ClusterDesign) -> bool:
-        """Whether a design fits the cost/power budgets (ignoring SLO)."""
-        if self.max_cost_per_hour is not None and design.cost_per_hour > self.max_cost_per_hour:
-            return False
-        if self.max_power_kw is not None and design.provisioned_power_kw > self.max_power_kw:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -113,11 +100,6 @@ class ProvisioningResult:
     candidates: list[CandidateEvaluation] = field(default_factory=list)
     goal: OptimizationGoal = OptimizationGoal.COST
 
-    @property
-    def feasible_candidates(self) -> list[CandidateEvaluation]:
-        """All candidates that met the constraints."""
-        return [c for c in self.candidates if c.feasible]
-
 
 class Provisioner:
     """Design-space search driver.
@@ -130,7 +112,6 @@ class Provisioner:
             the sweep cheaper at some loss of tail fidelity.
         seed: Seed for trace generation (the same trace is reused across
             candidates at the same rate for a fair comparison).
-        reference_machine: Machine whose uncontended latency anchors the SLO.
         constraints: Feasibility constraints.
     """
 
@@ -140,7 +121,6 @@ class Provisioner:
         workload: str | WorkloadSpec = "coding",
         trace_duration_s: float = 60.0,
         seed: int = 0,
-        reference_machine: MachineSpec = DGX_A100,
         constraints: ProvisioningConstraints | None = None,
     ) -> None:
         self.model = model
@@ -148,7 +128,7 @@ class Provisioner:
         self.trace_duration_s = trace_duration_s
         self.seed = seed
         self.constraints = constraints or ProvisioningConstraints()
-        self.reference_model: PerformanceModel = AnalyticalPerformanceModel(model, reference_machine)
+        self.reference_model: PerformanceModel = AnalyticalPerformanceModel(model, DGX_A100)
         self._trace_cache: dict[float, Trace] = {}
 
     # -- building blocks -------------------------------------------------------------
@@ -171,11 +151,7 @@ class Provisioner:
         slo_report = result.slo_report(reference_model=self.reference_model, policy=self.constraints.slo)
         metrics = result.request_metrics()
         completion = result.completion_rate
-        feasible = (
-            slo_report.satisfied
-            and completion >= self.constraints.min_completion_rate
-            and self.constraints.within_budget(design)
-        )
+        feasible = slo_report.satisfied and completion >= self.constraints.min_completion_rate
         return CandidateEvaluation(
             design=design,
             rate_rps=rate_rps,
@@ -191,8 +167,9 @@ class Provisioner:
         """Highest request rate (from ``rates``) the design sustains under SLO.
 
         Rates are scanned in ascending order; scanning stops after the first
-        infeasible rate above a feasible one (the feasibility frontier is
-        monotone for all practical purposes).
+        infeasible rate above a feasible one.  Feasibility is not monotone in
+        rate near the frontier (a seed can fail at one rate and pass at a
+        higher one), so the answer can depend on the grid and the seed.
 
         Returns:
             ``(max_rate, evaluations)`` where ``max_rate`` is 0.0 when even the
@@ -239,37 +216,6 @@ class Provisioner:
         best = self._select_best(candidates, goal)
         return ProvisioningResult(best=best, candidates=candidates, goal=goal)
 
-    def max_throughput_under_budget(
-        self,
-        family: str,
-        rates: Sequence[float],
-        prompt_counts: Iterable[int],
-        token_counts: Iterable[int] = (0,),
-        max_cost_per_hour: float | None = None,
-        max_power_kw: float | None = None,
-    ) -> ProvisioningResult:
-        """Iso-cost / iso-power sizing: the design maximizing throughput under a budget."""
-        budget = ProvisioningConstraints(
-            slo=self.constraints.slo,
-            min_completion_rate=self.constraints.min_completion_rate,
-            max_cost_per_hour=max_cost_per_hour,
-            max_power_kw=max_power_kw,
-        )
-        best: CandidateEvaluation | None = None
-        best_rate = -1.0
-        candidates: list[CandidateEvaluation] = []
-        for num_prompt, num_token in itertools.product(sorted(set(prompt_counts)), sorted(set(token_counts))):
-            design = self._make_design(family, num_prompt, num_token)
-            if design is None or not budget.within_budget(design):
-                continue
-            rate, evaluations = self.max_throughput(design, rates)
-            candidates.extend(evaluations)
-            feasible_evals = [e for e in evaluations if e.feasible and e.rate_rps == rate]
-            if rate > best_rate and feasible_evals:
-                best_rate = rate
-                best = feasible_evals[-1]
-        return ProvisioningResult(best=best, candidates=candidates, goal=OptimizationGoal.THROUGHPUT)
-
     # -- helpers ---------------------------------------------------------------------------
 
     @staticmethod
@@ -288,9 +234,7 @@ class Provisioner:
             return None
         if goal is OptimizationGoal.COST:
             return min(feasible, key=lambda c: (c.cost_per_hour, c.design.num_machines))
-        if goal is OptimizationGoal.POWER:
-            return min(feasible, key=lambda c: (c.provisioned_power_kw, c.design.num_machines))
-        return max(feasible, key=lambda c: c.rate_rps)
+        return min(feasible, key=lambda c: (c.provisioned_power_kw, c.design.num_machines))
 
 
 def estimate_pool_sizes(

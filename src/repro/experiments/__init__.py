@@ -27,9 +27,8 @@ from repro.experiments.cluster_eval import (
 )
 from repro.experiments.design_space import fig12_design_space, iso_budget_summary, iso_throughput_summary
 from repro.experiments.headline import headline_claims
-from repro.experiments.fleet_sweep import fleet_sweep, prepare_fleet_run
+from repro.experiments.fleet_sweep import prepare_fleet_run
 from repro.experiments.kv_transfer import fig14_transfer_latency, fig15_transfer_overhead
-from repro.experiments.scenarios import scenario_sweep
 
 __all__ = [
     "table1_hardware_comparison",
@@ -52,7 +51,5 @@ __all__ = [
     "iso_budget_summary",
     "iso_throughput_summary",
     "headline_claims",
-    "scenario_sweep",
-    "fleet_sweep",
     "prepare_fleet_run",
 ]

@@ -123,9 +123,9 @@ def _measure_suite(
     return rows
 
 
-def _normalize(rows: dict[str, dict[str, float]], baseline: str) -> dict[str, dict[str, float]]:
-    """Normalize every numeric column to the baseline design's value."""
-    reference = rows[baseline]
+def _normalize(rows: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
+    """Normalize every numeric column to Baseline-A100's value (the paper's reference)."""
+    reference = rows["Baseline-A100"]
     normalized: dict[str, dict[str, float]] = {}
     for name, row in rows.items():
         normalized[name] = {
@@ -142,7 +142,6 @@ def iso_budget_summary(
     duration_s: float = 60.0,
     model: ModelSpec = LLAMA2_70B,
     seed: int = 0,
-    normalize_to: str = "Baseline-A100",
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Fig. 18: iso-power ("power") or iso-cost ("cost") throughput-optimized summary.
 
@@ -156,7 +155,7 @@ def iso_budget_summary(
     else:
         raise ValueError(f"budget must be 'power' or 'cost', got {budget!r}")
     rows = _measure_suite(suite, workload, rate_rps, duration_s, model, seed)
-    return {"raw": rows, "normalized": _normalize(rows, normalize_to)}
+    return {"raw": rows, "normalized": _normalize(rows)}
 
 
 def iso_throughput_summary(
@@ -167,7 +166,6 @@ def iso_throughput_summary(
     duration_s: float = 60.0,
     model: ModelSpec = LLAMA2_70B,
     seed: int = 0,
-    normalize_to: str = "Baseline-A100",
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Fig. 19: iso-throughput, power-optimized ("power") or cost-optimized ("cost") summary."""
     if goal == "power":
@@ -178,4 +176,4 @@ def iso_throughput_summary(
         raise ValueError(f"goal must be 'power' or 'cost', got {goal!r}")
     suite = _suite_from_configs(configs, scale)
     rows = _measure_suite(suite, workload, rate_rps, duration_s, model, seed)
-    return {"raw": rows, "normalized": _normalize(rows, normalize_to)}
+    return {"raw": rows, "normalized": _normalize(rows)}

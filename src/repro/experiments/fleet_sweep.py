@@ -1,7 +1,7 @@
-"""Fleet sweep: multi-cluster routing policies and cloud-burst provisioning.
+"""Fleet runs: multi-cluster routing policies and cloud-burst provisioning.
 
-Beyond the single-cluster scenario sweep, this experiment replays a scenario
-preset across a *fleet* of phase-split clusters twice:
+Beyond the single-cluster scenario runs, ``repro-sim fleet`` replays a
+scenario preset across a *fleet* of phase-split clusters twice:
 
 * **static** — every cluster (including the would-be standbys) active for
   the whole window: the provision-for-peak baseline;
@@ -11,13 +11,11 @@ preset across a *fleet* of phase-split clusters twice:
 
 Both runs serve the identical trace through the same tenant-aware router
 policy and report per-tenant SLO attainment plus fleet machine-hours, so the
-sweep quantifies what elasticity costs (tail latency during cold starts) and
+pair quantifies what elasticity costs (tail latency during cold starts) and
 buys (machine-hours) at fleet scale.
 """
 
 from __future__ import annotations
-
-from typing import Mapping, Sequence
 
 from dataclasses import replace
 
@@ -26,10 +24,9 @@ from repro.faults import get_chaos_preset
 from repro.fleet.fleet import FleetResult, FleetSimulation
 from repro.fleet.provisioner import FleetProvisionerConfig
 from repro.fleet.reliability import DeadlineConfig, HedgeConfig, RetryPolicy
-from repro.fleet.router import ROUTER_POLICIES
 from repro.metrics.collectors import census
 from repro.models.llm import LLAMA2_70B, ModelSpec
-from repro.workload.scenarios import SCENARIO_PRESETS, Scenario, get_scenario
+from repro.workload.scenarios import Scenario
 from repro.workload.trace import Trace
 
 
@@ -42,7 +39,6 @@ def prepare_fleet_run(
     policy: str = "slo-feedback",
     burst: bool = True,
     model: ModelSpec = LLAMA2_70B,
-    provisioner_config: FleetProvisionerConfig | None = None,
     chaos: str | None = None,
     fault_seed: int | None = None,
     retry_override: int | None = None,
@@ -56,8 +52,8 @@ def prepare_fleet_run(
     """Build one fleet run: the simulation, its trace, and its failures.
 
     The single place that maps a scenario preset onto a concrete fleet — the
-    CLI, the sweep, and the perf benchmark all go through here so fleet
-    semantics cannot diverge between surfaces.
+    CLI and the perf benchmark both go through here so fleet semantics
+    cannot diverge between surfaces.
 
     The preset's per-cluster sizing is kept (``machine_counts(scale)``) and
     its offered load is multiplied by the number of *initially active*
@@ -78,8 +74,6 @@ def prepare_fleet_run(
             :data:`~repro.fleet.router.ROUTER_POLICIES`).
         burst: Attach the burst provisioner (otherwise fully static).
         model: LLM served by every cluster.
-        provisioner_config: Burst-provisioner overrides (defaults used when
-            omitted).
         chaos: Chaos preset name (see
             :data:`~repro.faults.presets.CHAOS_PRESETS`) arming the fault
             plane plus router reliability and admission control.  ``None``
@@ -154,7 +148,7 @@ def prepare_fleet_run(
             burst_clusters=burst_clusters,
             model=model,
             router=policy,
-            provisioner=provisioner_config or FleetProvisionerConfig(),
+            provisioner=FleetProvisionerConfig(),
             parallel=parallel,
             **chaos_kwargs,
             **cluster_kwargs,
@@ -173,7 +167,7 @@ def prepare_fleet_run(
 
 
 def fleet_run_summary(result: FleetResult) -> dict:
-    """One fleet run's JSON-friendly summary (shared by the sweep and CLI).
+    """One fleet run's JSON-friendly summary (shared by the CLI and the perf benchmark).
 
     The SLO reference model comes from the result itself (the model its
     fleet served).  The exact :func:`~repro.metrics.collectors.census`
@@ -204,45 +198,3 @@ def fleet_run_summary(result: FleetResult) -> dict:
         summary["requests_expired"] = dict(sorted(result.expired_by_tenant.items()))
         summary["requests_degraded"] = len(result.degraded_requests)
     return summary
-
-
-def fleet_sweep(
-    presets: Sequence[str] | None = None,
-    policies: Sequence[str] | None = None,
-    clusters: int = 2,
-    burst_clusters: int = 1,
-    scale: float = 1.0,
-    seed: int = 0,
-    model: ModelSpec = LLAMA2_70B,
-) -> dict[str, dict[str, Mapping]]:
-    """Replay every preset through static and burst fleets per router policy.
-
-    Returns:
-        ``{preset: {policy: {"static": {...}, "burst": {...},
-        "machine_hours_saved": float}}}``.
-    """
-    chosen_presets = presets or sorted(SCENARIO_PRESETS)
-    chosen_policies = policies or list(ROUTER_POLICIES)
-    results: dict[str, dict] = {}
-    for name in chosen_presets:
-        preset = get_scenario(name)
-        results[name] = {}
-        for policy in chosen_policies:
-            static_fleet, trace, failures = prepare_fleet_run(
-                preset, clusters, burst_clusters, seed=seed, scale=scale, policy=policy,
-                burst=False, model=model,
-            )
-            static_summary = fleet_run_summary(static_fleet.run(trace, failures=failures))
-            burst_fleet, trace, failures = prepare_fleet_run(
-                preset, clusters, burst_clusters, seed=seed, scale=scale, policy=policy,
-                burst=True, model=model,
-            )
-            burst_summary = fleet_run_summary(burst_fleet.run(trace, failures=failures))
-            results[name][policy] = {
-                "static": static_summary,
-                "burst": burst_summary,
-                "machine_hours_saved": round(
-                    static_summary["machine_hours"] - burst_summary["machine_hours"], 3
-                ),
-            }
-    return results

@@ -1,7 +1,7 @@
-"""Time-varying scenario sweep: autoscaled vs statically provisioned clusters.
+"""Time-varying scenario runs: autoscaled vs statically provisioned clusters.
 
-Beyond the paper's stationary-load evaluation, this experiment replays every
-named scenario preset (diurnal, burst-storm, failure-under-load,
+Beyond the paper's stationary-load evaluation, ``repro-sim scenario``
+replays a named scenario preset (diurnal, burst-storm, failure-under-load,
 mixed-tenant; see :mod:`repro.workload.scenarios`) through the same
 peak-sized Splitwise-HH cluster twice — once statically provisioned, once
 with the dynamic pool autoscaler — and reports SLO attainment, machine-hour
@@ -12,15 +12,13 @@ time-varying traffic without paying for peak provisioning around the clock.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.autoscaler import AutoscalerConfig
 from repro.core.cluster import ClusterSimulation, SimulationResult
 from repro.core.designs import splitwise_hh
 from repro.metrics.collectors import census
 from repro.metrics.slo import SloReport
 from repro.models.llm import LLAMA2_70B, ModelSpec
-from repro.workload.scenarios import SCENARIO_PRESETS, Scenario, get_scenario
+from repro.workload.scenarios import Scenario
 from repro.workload.trace import Trace
 
 
@@ -38,7 +36,7 @@ def prepare_scenario_run(
     onto a concrete cluster run — peak-sized Splitwise-HH design from
     ``machine_counts``, failures scaled with the trace, and (when
     ``autoscaled``) an :class:`AutoscalerConfig` built from the preset's
-    overrides.  The CLI, the scenario sweep, and the sim-time pins all go
+    overrides.  The CLI and the sim-time pins both go
     through here so preset semantics cannot diverge between surfaces.
     """
     trace = preset.build_trace(seed=seed, scale=scale)
@@ -54,7 +52,7 @@ def prepare_scenario_run(
 
 
 def cluster_run_summary(result: SimulationResult, slo: SloReport) -> dict:
-    """One cluster run's JSON-friendly summary (shared by the sweep and CLI).
+    """One cluster run's JSON-friendly summary (``simulate`` and ``scenario`` print it).
 
     Carries the run's exact :func:`~repro.metrics.collectors.census` (which
     raises if the run did not drain) next to its rounded latency, SLO, energy
@@ -87,48 +85,3 @@ def cluster_run_summary(result: SimulationResult, slo: SloReport) -> dict:
         summary["repurposes"] = result.autoscaler.repurpose_count()
         summary["autoscaler_actions"] = len(result.autoscaler.timeline)
     return summary
-
-
-def scenario_sweep(
-    presets: Sequence[str] | None = None,
-    scale: float = 1.0,
-    seed: int = 0,
-    model: ModelSpec = LLAMA2_70B,
-) -> dict[str, dict]:
-    """Run each scenario preset statically and autoscaled on the same trace.
-
-    Args:
-        presets: Preset names to run (default: all).
-        scale: Shrinks/grows each preset's cluster and offered load together.
-        seed: Trace-generation seed (runs are fully deterministic under it).
-        model: LLM served by every cluster.
-
-    Returns:
-        ``{preset: {"static": {...}, "autoscaled": {...},
-        "machine_hours_saved": float}}`` with the per-run
-        :func:`cluster_run_summary` dicts ``repro-sim scenario --json``
-        prints.
-    """
-    chosen = presets or sorted(SCENARIO_PRESETS)
-    results: dict[str, dict] = {}
-    for name in chosen:
-        preset = get_scenario(name)
-        static_sim, trace, failures = prepare_scenario_run(
-            preset, seed=seed, scale=scale, autoscaled=False, model=model
-        )
-        static_result = static_sim.run(trace, failures=failures)
-        auto_sim, trace, failures = prepare_scenario_run(
-            preset, seed=seed, scale=scale, autoscaled=True, model=model
-        )
-        auto_result = auto_sim.run(trace, failures=failures)
-
-        static_summary = cluster_run_summary(static_result, static_result.slo_report(model=model))
-        auto_summary = cluster_run_summary(auto_result, auto_result.slo_report(model=model))
-        results[name] = {
-            "static": static_summary,
-            "autoscaled": auto_summary,
-            "machine_hours_saved": round(
-                static_summary["machine_hours"] - auto_summary["machine_hours"], 3
-            ),
-        }
-    return results

@@ -55,10 +55,6 @@ INJECTION_KINDS = (
     "revoke",
 )
 
-_MACHINE_KINDS = frozenset(
-    {"machine-fail", "machine-recover", "straggler-start", "straggler-end"}
-)
-
 
 @dataclass(frozen=True, slots=True)
 class Injection:
@@ -83,10 +79,6 @@ class Injection:
             raise ValueError(f"unknown injection kind {self.kind!r}; known: {INJECTION_KINDS}")
         if self.time_s < 0:
             raise ValueError(f"injection time must be >= 0, got {self.time_s}")
-
-    @property
-    def is_machine_scoped(self) -> bool:
-        return self.kind in _MACHINE_KINDS
 
 
 @dataclass(frozen=True)

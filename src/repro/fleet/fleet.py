@@ -2,28 +2,27 @@
 
 The paper sizes and operates a *single* Splitwise cluster.  A production
 service runs fleets of such clusters: a global front-end routes each request
-to one cluster, tenants carry distinct SLOs, and capacity is rented
+to one cluster, tenants share it, and capacity is rented
 elastically.  :class:`FleetSimulation` models exactly that, inside a single
 deterministic :class:`~repro.simulation.engine.SimulationEngine`:
 
 * every member cluster is a full :class:`~repro.core.cluster.ClusterSimulation`
-  (machines, cluster scheduler, KV transfers, optional pool autoscaler),
-  advancing on the shared engine's timeline;
+  (machines, cluster scheduler, KV transfers), advancing on the shared
+  engine's timeline;
 * a :class:`~repro.fleet.router.FleetRouter` assigns each arriving request
   to a cluster under a pluggable, tenant-aware policy;
 * an optional :class:`~repro.fleet.provisioner.FleetProvisioner` cloud-bursts
   standby clusters under pressure and drains-then-retires them when idle,
   with machine-hour/cost accounting against static provisioning;
-* the result rolls SLO attainment up **per tenant**
-  (:func:`~repro.metrics.slo.evaluate_slo_by_tenant`).
+* the result judges every tenant, and the fleet as a whole, by the paper's
+  Table VI SLO (:func:`~repro.metrics.slo.evaluate_slo_by_tenant`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.autoscaler import AutoscalerConfig
 from repro.core.cluster import ClusterSimulation, SimulationResult
 from repro.core.designs import ClusterDesign
 from repro.fleet.provisioner import ClusterState, FleetProvisioner, FleetProvisionerConfig
@@ -42,21 +41,14 @@ if TYPE_CHECKING:  # pragma: no cover - the fault plane layers above the fleet
     from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
     from repro.simulation.sharding import ShardPlan
 from repro.hardware.machine import DGX_A100
-from repro.metrics.slo import DEFAULT_SLO, SloPolicy, TenantSloReport, evaluate_slo_by_tenant
+from repro.metrics.slo import TenantSloReport, evaluate_slo_by_tenant
 from repro.models.llm import LLAMA2_70B, ModelSpec
-from repro.models.performance import AnalyticalPerformanceModel, PerformanceModel
+from repro.models.performance import AnalyticalPerformanceModel
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import ARRIVAL_EVENT_PRIORITY
 from repro.simulation.request import Request
 from repro.workload.trace import Trace
 
-
-
-def _overlap_seconds(start: float, end: float, windows: Sequence[tuple[float, float]]) -> float:
-    """Seconds of ``[start, end)`` covered by the (disjoint) ``windows``."""
-    return sum(
-        max(0.0, min(end, w_end) - max(start, w_start)) for w_start, w_end in windows
-    )
 
 
 @dataclass
@@ -115,8 +107,6 @@ class FleetResult:
         router: The fleet router (routing statistics per cluster/tenant).
         provisioner: The burst provisioner (``None`` for a static fleet).
         model: The LLM served (builds the default SLO reference).
-        tenant_policies: Per-tenant SLO policies used by default in
-            :meth:`tenant_slo_report`.
         shed_by_tenant: Requests rejected up front by admission control,
             grouped by tenant (empty without admission control).
         injector: The fault injector that drove the run (``None`` when no
@@ -136,7 +126,6 @@ class FleetResult:
     router: FleetRouter = field(repr=False)
     provisioner: FleetProvisioner | None = field(default=None, repr=False)
     model: ModelSpec = field(default=LLAMA2_70B, repr=False)
-    tenant_policies: Mapping[str, SloPolicy] | None = field(default=None, repr=False)
     shed_by_tenant: dict[str, int] = field(default_factory=dict)
     injector: "FaultInjector | None" = field(default=None, repr=False)
     expired_by_tenant: dict[str, int] = field(default_factory=dict)
@@ -148,19 +137,9 @@ class FleetResult:
         return [r for r in self.requests if r.is_complete]
 
     @property
-    def shed_requests(self) -> list[Request]:
-        """Requests rejected up front by admission control (never routed)."""
-        return [r for r in self.requests if r.shed]
-
-    @property
     def requests_shed(self) -> int:
         """Count of admission-shed requests."""
         return sum(self.shed_by_tenant.values())
-
-    @property
-    def expired_requests(self) -> list[Request]:
-        """Requests cancelled by the lifecycle layer (deadline / retry exhaustion)."""
-        return [r for r in self.requests if r.expired]
 
     @property
     def requests_expired(self) -> int:
@@ -188,90 +167,35 @@ class FleetResult:
         """Machines across every member cluster (active or standby)."""
         return sum(cluster.num_machines for cluster in self.clusters)
 
-    def tenant_slo_report(
-        self,
-        reference_model: PerformanceModel | None = None,
-        policies: Mapping[str, SloPolicy] | None = None,
-        default_policy: SloPolicy = DEFAULT_SLO,
-    ) -> TenantSloReport:
-        """Per-tenant SLO verdicts plus the fleet-level roll-up."""
-        if reference_model is None:
-            reference_model = AnalyticalPerformanceModel(self.model, DGX_A100)
-        return evaluate_slo_by_tenant(
-            self.requests,
-            reference_model,
-            policies if policies is not None else self.tenant_policies,
-            default_policy,
-        )
+    def tenant_slo_report(self) -> TenantSloReport:
+        """Table VI verdicts per tenant plus the fleet-level roll-up.
+
+        The reference is the served model on an uncontended DGX-A100.
+        """
+        return evaluate_slo_by_tenant(self.requests, AnalyticalPerformanceModel(self.model, DGX_A100))
 
     def machine_hours(self) -> float:
         """Machine-hours the fleet actually consumed over the window.
 
         With a burst provisioner, standby/retired intervals are billed at
-        their state fraction; any per-cluster pool autoscaler's park
-        intervals are subtracted on top, intersected per machine with the
-        cluster's fully billed (serving) windows — a machine parked while
-        its cluster was an unbilled standby was never billed in the first
-        place, and that "saving" must not discount the fleet twice.  A
-        static fleet pays for every cluster the whole window (minus
-        per-cluster parking).
+        their state fraction.  A static fleet pays for every cluster the
+        whole window.
         """
         if self.provisioner is not None:
-            hours = self.provisioner.billed_machine_hours()
-            for name, result in self.cluster_results.items():
-                if result.autoscaler is not None:
-                    windows = self.provisioner.fully_billed_windows(name)
-                    hours -= sum(
-                        _overlap_seconds(start, end, windows)
-                        for _machine, start, end in result.autoscaler.park_intervals()
-                    ) / 3600.0
-            return hours
+            return self.provisioner.billed_machine_hours()
         return sum(result.machine_hours() for result in self.cluster_results.values())
 
     def static_machine_hours(self) -> float:
         """Machine-hours of statically provisioning every cluster all window."""
         return self.total_machines * self.duration_s / 3600.0
 
-    def machine_hours_saved(self) -> float:
-        """Machine-hours released versus static whole-fleet provisioning."""
-        return self.static_machine_hours() - self.machine_hours()
-
-    @staticmethod
-    def _machine_rates(result: SimulationResult) -> dict[str, float]:
-        """Per-machine $/hour by machine name (prompt and token rates differ)."""
-        return {machine.name: machine.spec.cost_per_hour for machine in result.scheduler.machines}
-
     def cost(self) -> float:
-        """Dollar cost of the consumed machine-hours.
-
-        Parked machines are credited at *their own* hourly rate (a parked
-        H100 prompt machine is worth more than a parked A100 token machine),
-        and — like :meth:`machine_hours` — only for park time that fell
-        inside the cluster's fully billed windows.
-        """
+        """Dollar cost of the consumed machine-hours."""
         if self.provisioner is not None:
-            total = self.provisioner.billed_cost()
-            for name, result in self.cluster_results.items():
-                if result.autoscaler is None:
-                    continue
-                rates = self._machine_rates(result)
-                windows = self.provisioner.fully_billed_windows(name)
-                for machine, start, end in result.autoscaler.park_intervals():
-                    total -= rates[machine] * _overlap_seconds(start, end, windows) / 3600.0
-            return total
-        total = 0.0
-        for result in self.cluster_results.values():
-            total += result.design.cost_per_hour * self.duration_s / 3600.0
-            if result.autoscaler is not None:
-                rates = self._machine_rates(result)
-                for machine, seconds in result.autoscaler.parked_seconds_by_machine().items():
-                    total -= rates[machine] * seconds / 3600.0
-        return total
-
-    def static_cost(self) -> float:
-        """Dollar cost of statically provisioning every cluster all window."""
+            return self.provisioner.billed_cost()
         return sum(
-            cluster.design.cost_per_hour * self.duration_s / 3600.0 for cluster in self.clusters
+            result.design.cost_per_hour * self.duration_s / 3600.0
+            for result in self.cluster_results.values()
         )
 
     def requests_by_cluster(self) -> dict[str, int]:
@@ -293,9 +217,6 @@ class FleetSimulation:
         router: Router policy name or a pre-built :class:`FleetRouter`.
         provisioner: Burst provisioner — a :class:`FleetProvisioner`, a
             :class:`FleetProvisionerConfig`, or ``True`` for defaults.
-        autoscaler: Per-cluster pool autoscaler config (each cluster gets
-            its own instance; ``True`` for defaults).
-        tenant_policies: Per-tenant SLO policies threaded into the result.
         faults: Optional :class:`~repro.faults.plan.FaultPlanConfig`; when
             its processes are enabled, a :class:`FaultInjector` compiles and
             arms a seeded fault plan at the start of :meth:`run`.
@@ -325,12 +246,17 @@ class FleetSimulation:
             default) keeps the plain serial engine.  Fleets whose
             configuration couples clusters mid-run (non-weighted-rr
             routing, provisioner, reliability/admission/lifecycle, armed
-            faults, observability, autoscalers) fall back to the serial
+            faults, observability) fall back to the serial
             path automatically, recording the reasons in
             :attr:`parallel_info`.
         **cluster_kwargs: Forwarded to every member
             :class:`ClusterSimulation` (batching, routing, thresholds,
             ``fast_forward``, ...).
+
+    Raises:
+        ValueError: if ``cluster_kwargs`` carries an ``autoscaler``.  Member
+            clusters run without pool autoscalers: the fleet's run could not
+            stop their ticks, so it would never drain.
     """
 
     def __init__(
@@ -341,8 +267,6 @@ class FleetSimulation:
         model: ModelSpec = LLAMA2_70B,
         router: FleetRouter | str = "least-outstanding",
         provisioner: FleetProvisioner | FleetProvisionerConfig | bool | None = None,
-        autoscaler: AutoscalerConfig | bool | None = None,
-        tenant_policies: Mapping[str, SloPolicy] | None = None,
         faults: "FaultPlanConfig | None" = None,
         reliability: ReliabilityConfig | None = None,
         admission: AdmissionConfig | None = None,
@@ -365,6 +289,8 @@ class FleetSimulation:
             provisioner = None
         if burst_clusters and provisioner is None:
             raise ValueError("burst_clusters require a provisioner to activate them")
+        if "autoscaler" in cluster_kwargs:
+            raise ValueError("fleet member clusters cannot take an autoscaler: a fleet run could not stop it")
         if parallel is not None and parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {parallel}")
         self.model = model
@@ -389,7 +315,6 @@ class FleetSimulation:
         self.admission = admission
         self.faults = faults
         self.injector: "FaultInjector | None" = None
-        self.tenant_policies = tenant_policies
         self.engine = SimulationEngine()
         self.clusters: list[FleetCluster] = []
         warm_target = provisioner.config.warm_pool_target if provisioner is not None else 0
@@ -400,7 +325,6 @@ class FleetSimulation:
                 model=model,
                 engine=self.engine,
                 name=name,
-                autoscaler=autoscaler,
                 **cluster_kwargs,
             )
             if index < num_clusters:
@@ -445,11 +369,6 @@ class FleetSimulation:
         self.obs = ObservabilityPlane(config)
         return self.obs
 
-    @property
-    def machines(self):
-        """Every machine across every member cluster."""
-        return [machine for cluster in self.clusters for machine in cluster.simulation.machines]
-
     # -- internal wiring ---------------------------------------------------------------
 
     def _wire_completion_hooks(self) -> None:
@@ -459,22 +378,11 @@ class FleetSimulation:
             )
 
     def _wire_failure_hooks(self) -> None:
-        """Chain machine-failure hooks into the router's reliability tracking.
-
-        Must run *after* every cluster's ``prepare()``: the per-cluster pool
-        autoscaler claims ``on_machine_failed`` when it attaches, and both
-        observers need to see the event.
-        """
+        """Report every machine failure to the router's reliability tracking."""
         for cluster in self.clusters:
-            scheduler = cluster.scheduler
-            inner = scheduler.on_machine_failed
-
-            def chained(machine, name=cluster.name, inner=inner):
-                if inner is not None:
-                    inner(machine)
-                self.router.note_failure(name)
-
-            scheduler.on_machine_failed = chained
+            cluster.scheduler.on_machine_failed = (
+                lambda machine, name=cluster.name: self.router.note_failure(name)
+            )
 
     def _on_complete(self, cluster_name: str, request: Request) -> None:
         if self.lifecycle is not None:
@@ -489,10 +397,10 @@ class FleetSimulation:
         if self._completed + self._shed + self._expired >= self._expected:
             # Every request is accounted for (completed, shed up front, or
             # expired by the lifecycle layer): stop all recurring
-            # controllers.  Two or more of them (per-cluster autoscalers,
-            # the fleet provisioner) would otherwise keep each other's
-            # "queue non-empty" checks true forever.  Controller ticks never
-            # act after the last completion, so stopping here is
+            # controllers.  Two or more of them (the fleet provisioner, the
+            # metrics ticker) would otherwise keep each other's "queue
+            # non-empty" checks true forever.  Controller ticks never act
+            # after the last completion, so stopping here is
             # behavior-neutral.
             self._stop_controllers()
 
@@ -503,9 +411,6 @@ class FleetSimulation:
             # never fire.
             self.provisioner.retire_drained()
             self.provisioner.stop()
-        for cluster in self.clusters:
-            if cluster.simulation.autoscaler is not None:
-                cluster.simulation.autoscaler.stop()
         if self.obs is not None:
             # The metrics ticker is a recurring engine event too: left
             # running it would advance the clock past the last completion.
@@ -626,20 +531,12 @@ class FleetSimulation:
 
     # -- running -----------------------------------------------------------------------
 
-    def run(
-        self,
-        trace: Trace,
-        drain: bool = True,
-        horizon_s: float | None = None,
-        failures: Sequence[tuple[float, str]] = (),
-    ) -> FleetResult:
-        """Replay ``trace`` through the fleet.
+    def run(self, trace: Trace, failures: Sequence[tuple[float, str]] = ()) -> FleetResult:
+        """Replay ``trace`` through the fleet until every request is accounted for.
 
         Args:
-            trace: The request trace (tenant tags drive per-tenant SLOs and
-                tenant-aware routing).
-            drain: Keep simulating until every request completes.
-            horizon_s: Optional hard simulated-time limit.
+            trace: The request trace (tenant tags drive per-tenant SLO
+                reports and tenant-aware routing).
             failures: ``(time_s, machine_name)`` failure injections; machine
                 names carry their cluster prefix (``"cluster-0/prompt-1"``).
 
@@ -663,7 +560,7 @@ class FleetSimulation:
         if self.parallel is not None:
             from repro.simulation.sharding import plan_shards
 
-            plan = plan_shards(self, self.parallel, drain=drain, horizon_s=horizon_s)
+            plan = plan_shards(self, self.parallel)
             if plan.mode == "parallel":
                 return self._run_sharded(trace, requests, failures, plan)
             # Coupled configuration: fall through to the exact serial path
@@ -709,8 +606,6 @@ class FleetSimulation:
                 [(t, name) for t, name in failures if name.startswith(prefix)]
             )
         if self.router.reliability is not None:
-            # After prepare(): the autoscalers have claimed the
-            # machine-failure hooks by now, so chaining sees them.
             self._wire_failure_hooks()
         if self.provisioner is not None:
             self.provisioner.attach(self)
@@ -737,14 +632,10 @@ class FleetSimulation:
                 priority=ARRIVAL_EVENT_PRIORITY,
                 tag=f"fleet-arrival:{request.request_id}",
             )
-        until = horizon_s if horizon_s is not None else (None if drain else trace.duration_s)
-        self.engine.run(until=until)
+        self.engine.run()
 
         duration = max(self.engine.now, trace.duration_s)
-        has_controllers = self.provisioner is not None or any(
-            c.simulation.autoscaler is not None for c in self.clusters
-        )
-        if has_controllers and until is None:
+        if self.provisioner is not None:
             # Exclude the controller-only tail (same reasoning as the
             # cluster layer): the window ends at the last real work, keeping
             # machine-hour comparisons against static fleets honest.
@@ -753,11 +644,7 @@ class FleetSimulation:
                 default=0.0,
             )
             last_failure = max((time_s for time_s, _ in failures), default=0.0)
-            last_provision = (
-                max((e.time_s for e in self.provisioner.timeline), default=0.0)
-                if self.provisioner is not None
-                else 0.0
-            )
+            last_provision = max((e.time_s for e in self.provisioner.timeline), default=0.0)
             duration = max(trace.duration_s, last_work, last_failure, last_provision)
 
         cluster_results = {
@@ -775,7 +662,6 @@ class FleetSimulation:
             router=self.router,
             provisioner=self.provisioner,
             model=self.model,
-            tenant_policies=self.tenant_policies,
             shed_by_tenant=dict(self.shed_by_tenant),
             injector=self.injector,
             expired_by_tenant=dict(self.expired_by_tenant),
@@ -874,7 +760,6 @@ class FleetSimulation:
             router=self.router,
             provisioner=None,
             model=self.model,
-            tenant_policies=self.tenant_policies,
             shed_by_tenant={},
             injector=None,
             expired_by_tenant={},

@@ -154,9 +154,6 @@ class FleetProvisioner:
         self._open_interval: dict[str, tuple[ClusterState, float]] = {}
         #: cluster name -> accumulated billed seconds per state.
         self._state_seconds: dict[str, dict[ClusterState, float]] = {}
-        #: cluster name -> closed (state, start_s, end_s) intervals, for
-        #: intersecting per-cluster autoscaler park windows with billed time.
-        self._state_intervals: dict[str, list[tuple[ClusterState, float, float]]] = {}
         self._finalized = False
 
     # -- lifecycle ---------------------------------------------------------------------
@@ -173,7 +170,6 @@ class FleetProvisioner:
         for cluster in fleet.clusters:
             self._open_interval[cluster.name] = (cluster.state, fleet.engine.now)
             self._state_seconds[cluster.name] = {}
-            self._state_intervals[cluster.name] = []
         self._task = fleet.engine.schedule_recurring(
             self.config.interval_s, self._tick, priority=PROVISIONER_TICK_PRIORITY, tag="fleet-provisioner"
         )
@@ -192,8 +188,6 @@ class FleetProvisioner:
         for name, (state, since) in list(self._open_interval.items()):
             seconds = self._state_seconds[name]
             seconds[state] = seconds.get(state, 0.0) + max(0.0, end_time_s - since)
-            if end_time_s > since:
-                self._state_intervals[name].append((state, since, end_time_s))
             del self._open_interval[name]
 
     # -- accounting --------------------------------------------------------------------
@@ -205,8 +199,6 @@ class FleetProvisioner:
         state, since = self._open_interval[name]
         seconds = self._state_seconds[name]
         seconds[state] = seconds.get(state, 0.0) + (now - since)
-        if now > since:
-            self._state_intervals[name].append((state, since, now))
         self._open_interval[name] = (new_state, now)
         cluster.state = new_state
         cluster.routable = new_state is ClusterState.ACTIVE
@@ -230,19 +222,6 @@ class FleetProvisioner:
             for state, elapsed in seconds.items():
                 total += self._billing_fraction(state) * elapsed * cluster.num_machines / 3600.0
         return total
-
-    def fully_billed_windows(self, cluster_name: str) -> list[tuple[float, float]]:
-        """Closed ``(start_s, end_s)`` windows in which the cluster billed fully.
-
-        Call :meth:`finalize` first.  The fleet intersects autoscaler park
-        intervals with these windows so that machines parked while the
-        cluster was an unbilled standby never discount the bill.
-        """
-        return [
-            (start, end)
-            for state, start, end in self._state_intervals.get(cluster_name, [])
-            if self._billing_fraction(state) == 1.0
-        ]
 
     def billed_cost(self) -> float:
         """Dollar cost of the billed intervals (cluster cost_per_hour-weighted)."""

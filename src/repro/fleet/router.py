@@ -575,25 +575,3 @@ class FleetRouter:
         return best_ttft, best_tbt
 
     # -- reporting ---------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-friendly routing statistics (per cluster and per tenant)."""
-        snapshot = {
-            "policy": self.policy,
-            "clusters": {
-                name: {
-                    "submitted": traffic.submitted,
-                    "completed": traffic.completed,
-                    "outstanding": traffic.outstanding,
-                    "by_tenant": dict(sorted(traffic.by_tenant.items())),
-                }
-                for name, traffic in sorted(self.traffic.items())
-            },
-        }
-        if self._health:
-            snapshot["reliability"] = {
-                name: {"state": health.state, "bans": health.bans}
-                for name, health in sorted(self._health.items())
-            }
-            snapshot["bans_issued"] = self.bans_issued
-        return snapshot

@@ -6,42 +6,19 @@ describes capability (FLOPs, HBM bandwidth, power, link bandwidth, cost) that
 the performance, power, and transfer models consume.
 """
 
-from repro.hardware.gpu import (
-    GPU_A100,
-    GPU_H100,
-    GpuSpec,
-    get_gpu,
-    power_capped,
-    registered_gpus,
-)
-from repro.hardware.interconnect import (
-    InterconnectSpec,
-    Link,
-    infiniband_for,
-)
-from repro.hardware.machine import (
-    DGX_A100,
-    DGX_H100,
-    DGX_H100_CAPPED,
-    MachineSpec,
-    get_machine,
-    registered_machines,
-)
+from repro.hardware.gpu import GPU_A100, GPU_H100, GpuSpec, power_capped
+from repro.hardware.interconnect import InterconnectSpec, infiniband_for
+from repro.hardware.machine import DGX_A100, DGX_H100, DGX_H100_CAPPED, MachineSpec
 
 __all__ = [
     "GpuSpec",
     "GPU_A100",
     "GPU_H100",
-    "get_gpu",
-    "registered_gpus",
     "power_capped",
     "MachineSpec",
     "DGX_A100",
     "DGX_H100",
     "DGX_H100_CAPPED",
-    "get_machine",
-    "registered_machines",
     "InterconnectSpec",
-    "Link",
     "infiniband_for",
 ]

@@ -60,19 +60,9 @@ class GpuSpec:
             )
 
     @property
-    def is_power_capped(self) -> bool:
-        """Whether this GPU runs under a cap below its TDP."""
-        return self.power_cap_watts < self.tdp_watts
-
-    @property
     def power_cap_fraction(self) -> float:
         """Cap expressed as a fraction of TDP (1.0 when uncapped)."""
         return self.power_cap_watts / self.tdp_watts
-
-    @property
-    def memory_to_compute_ratio(self) -> float:
-        """HBM bandwidth (GB/s) per TFLOP — higher favours the token phase."""
-        return self.hbm_bandwidth_gbps / self.fp16_tflops
 
 
 #: NVIDIA A100 80GB SXM (values from Table I of the paper).
@@ -100,30 +90,6 @@ GPU_H100 = GpuSpec(
     infiniband_gbps=400.0,
     cost_per_hour=38.0,
 )
-
-_REGISTRY: dict[str, GpuSpec] = {
-    "A100": GPU_A100,
-    "H100": GPU_H100,
-}
-
-
-def registered_gpus() -> dict[str, GpuSpec]:
-    """Return a copy of the registry of known GPU specs keyed by name."""
-    return dict(_REGISTRY)
-
-
-def get_gpu(name: str) -> GpuSpec:
-    """Look up a GPU spec by name (case-insensitive).
-
-    Raises:
-        KeyError: if the GPU is not registered.
-    """
-    key = name.upper()
-    if key not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"Unknown GPU {name!r}; known GPUs: {known}")
-    return _REGISTRY[key]
-
 
 def power_capped(gpu: GpuSpec, cap_fraction: float) -> GpuSpec:
     """Return a copy of ``gpu`` with its power cap set to ``cap_fraction`` of TDP.

@@ -63,25 +63,6 @@ class InterconnectSpec:
         return self.latency_s + num_bytes / self.effective_bytes_per_second
 
 
-@dataclass(frozen=True)
-class Link:
-    """A directed connection between two machines in the cluster.
-
-    Attributes:
-        source: Name of the sending machine.
-        destination: Name of the receiving machine.
-        spec: The interconnect characteristics of the connection.
-    """
-
-    source: str
-    destination: str
-    spec: InterconnectSpec
-
-    def transfer_time(self, num_bytes: float) -> float:
-        """Time in seconds to move ``num_bytes`` across this link."""
-        return self.spec.transfer_time(num_bytes)
-
-
 #: InfiniBand as deployed with A100 clusters (200 Gbps per machine pair).
 INFINIBAND_200 = InterconnectSpec(name="IB-200", bandwidth_gbps=200.0)
 

@@ -18,7 +18,7 @@ DGX-H100 (capped) 2.5x/2.35x 1.23x      2x (400 Gbps)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.hardware.gpu import GPU_A100, GPU_H100, GpuSpec, power_capped
 
@@ -66,11 +66,6 @@ class MachineSpec:
     # -- aggregate capability -------------------------------------------------
 
     @property
-    def total_fp16_tflops(self) -> float:
-        """Aggregate dense FP16 TFLOPs across all GPUs."""
-        return self.gpu.fp16_tflops * self.num_gpus
-
-    @property
     def total_hbm_capacity_gb(self) -> float:
         """Aggregate HBM capacity in GB."""
         return self.gpu.hbm_capacity_gb * self.num_gpus
@@ -103,11 +98,6 @@ class MachineSpec:
         host = HOST_POWER_OVERHEAD_FRACTION * self.gpu_tdp_watts
         return self.gpu_power_cap_watts + host
 
-    @property
-    def is_power_capped(self) -> bool:
-        """Whether the machine's GPUs run under a power cap."""
-        return self.gpu.is_power_capped
-
 
 #: DGX-A100: 8x A100, 200 Gbps InfiniBand.
 DGX_A100 = MachineSpec(name="DGX-A100", gpu=GPU_A100)
@@ -122,39 +112,3 @@ DGX_H100_CAPPED = MachineSpec(
     cost_per_hour=GPU_H100.cost_per_hour,
     interconnect_gbps=GPU_H100.infiniband_gbps,
 )
-
-_REGISTRY: dict[str, MachineSpec] = {
-    "DGX-A100": DGX_A100,
-    "DGX-H100": DGX_H100,
-    "DGX-H100-CAP50": DGX_H100_CAPPED,
-}
-
-
-def registered_machines() -> dict[str, MachineSpec]:
-    """Return a copy of the registry of known machine specs keyed by name."""
-    return dict(_REGISTRY)
-
-
-def get_machine(name: str) -> MachineSpec:
-    """Look up a machine spec by name (case-insensitive).
-
-    Raises:
-        KeyError: if the machine is not registered.
-    """
-    key = name.upper()
-    if key not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"Unknown machine {name!r}; known machines: {known}")
-    return _REGISTRY[key]
-
-
-def with_power_cap(machine: MachineSpec, cap_fraction: float) -> MachineSpec:
-    """Derive a power-capped variant of ``machine``.
-
-    Args:
-        machine: Base machine spec.
-        cap_fraction: GPU power cap as a fraction of TDP in ``(0, 1]``.
-    """
-    capped_gpu = power_capped(machine.gpu, cap_fraction)
-    name = machine.name if cap_fraction == 1 else f"{machine.name}-cap{int(round(cap_fraction * 100))}"
-    return replace(machine, name=name, gpu=capped_gpu)

@@ -13,11 +13,10 @@ from repro.metrics.slo import (
     SloPolicy,
     SloReport,
     TenantSloReport,
-    empty_slo_report,
     evaluate_slo,
     evaluate_slo_by_tenant,
 )
-from repro.metrics.summary import LatencySummary, RequestMetrics, percentile, summarize_requests
+from repro.metrics.summary import LatencySummary, RequestMetrics, summarize_requests
 from repro.metrics.token_log import TokenLog
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "TokenLog",
     "LatencySummary",
     "RequestMetrics",
-    "percentile",
     "summarize_requests",
     "SloPolicy",
     "SloReport",
@@ -35,5 +33,4 @@ __all__ = [
     "DEFAULT_SLO",
     "evaluate_slo",
     "evaluate_slo_by_tenant",
-    "empty_slo_report",
 ]

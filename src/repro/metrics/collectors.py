@@ -186,12 +186,6 @@ class MachineStats:
     tokens_generated: int = 0
     occupancy: BatchOccupancyTracker = field(default_factory=BatchOccupancyTracker)
 
-    def utilization(self, horizon_s: float) -> float:
-        """Busy fraction of the machine over ``horizon_s`` seconds."""
-        if horizon_s <= 0:
-            return 0.0
-        return min(1.0, self.busy_time_s / horizon_s)
-
     def add_iteration(
         self,
         duration_s: float,
@@ -268,10 +262,6 @@ class MetricsCollector:
         """
         return self._machines[machine]
 
-    def machines(self) -> list[str]:
-        """Names of all machines with recorded activity."""
-        return sorted(name for name, stats in self._machines.items() if stats.iterations)
-
     # -- shard transfer ------------------------------------------------------------
 
     def export_machine_stats(self) -> dict[str, dict]:
@@ -319,39 +309,9 @@ class MetricsCollector:
         """Total GPU energy across the cluster in watt-hours."""
         return sum(s.energy_wh for s in self._machines.values())
 
-    def total_busy_time_s(self) -> float:
-        """Sum of busy time across machines (machine-seconds)."""
-        return sum(s.busy_time_s for s in self._machines.values())
-
-    def mean_utilization(self, horizon_s: float, machines: Iterable[str] | None = None) -> float:
-        """Average busy fraction over a set of machines (default: all)."""
-        names = list(machines) if machines is not None else self.machines()
-        if not names:
-            return 0.0
-        return float(np.mean([self._machines[name].utilization(horizon_s) for name in names]))
-
     def group_occupancy(self, machines: Iterable[str]) -> BatchOccupancyTracker:
         """Merge the occupancy trackers of a group of machines (Fig. 17)."""
         merged = BatchOccupancyTracker()
         for name in machines:
             merged.merge(self._machines[name].occupancy)
         return merged
-
-    def as_dict(self, horizon_s: float) -> Mapping[str, dict]:
-        """Plain-dict summary keyed by machine name (for reports/serialization).
-
-        Only machines with recorded activity appear (pre-registered rows of
-        machines that never iterated are skipped).
-        """
-        return {
-            name: {
-                "busy_time_s": stats.busy_time_s,
-                "utilization": stats.utilization(horizon_s),
-                "energy_wh": stats.energy_wh,
-                "iterations": stats.iterations,
-                "prompt_tokens_processed": stats.prompt_tokens_processed,
-                "tokens_generated": stats.tokens_generated,
-            }
-            for name, stats in sorted(self._machines.items())
-            if stats.iterations
-        }

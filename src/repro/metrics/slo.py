@@ -6,12 +6,11 @@ be within 2x of the uncontended TTFT, P90 within 3x, P99 within 6x, and
 similarly for TBT and E2E.  All nine constraints must hold for a cluster
 configuration to be considered as meeting its SLO at a given load.
 
-For fleets serving several tenants, :func:`evaluate_slo_by_tenant` evaluates
-the same machinery *per tenant* — each tenant may carry its own
-:class:`SloPolicy` — and rolls the verdicts up into a fleet-level
-:class:`TenantSloReport`.  A tenant that submitted requests but completed
-none reports ``nan`` slowdowns (never a vacuous pass), mirroring the
-empty-series semantics of the single-cluster evaluator.
+For fleets serving several tenants, :func:`evaluate_slo_by_tenant` judges
+every tenant, and the fleet roll-up, by the same Table VI policy and collects
+the verdicts in a :class:`TenantSloReport`.  A tenant that submitted requests
+but completed none reports ``nan`` slowdowns (never a vacuous pass),
+mirroring the empty-series semantics of the single-cluster evaluator.
 """
 
 from __future__ import annotations
@@ -111,8 +110,7 @@ class TenantSloReport:
             Every tenant that *submitted* a request appears here — a tenant
             with no completions gets an all-``nan`` report, which can never
             be satisfied.
-        fleet: Roll-up report over every request regardless of tenant,
-            evaluated against ``fleet_policy``.
+        fleet: Roll-up report over every request regardless of tenant.
         goodput: Fraction of each tenant's *submitted* requests that
             completed.  Distinct from SLO attainment: admission shedding,
             deadline expiry, and failures reduce goodput even when the
@@ -147,10 +145,6 @@ class TenantSloReport:
         """Tenants whose SLO is violated or unevaluable, sorted."""
         return sorted(t for t, report in self.tenants.items() if not report.satisfied)
 
-    def samples_by_tenant(self) -> dict[str, dict[str, int]]:
-        """Per-tenant sample counts behind each metric (vacuousness guard)."""
-        return {tenant: dict(report.samples) for tenant, report in self.tenants.items()}
-
     def as_dict(self) -> dict:
         """JSON-friendly summary (used by the fleet CLI's ``--json`` payload)."""
         return {
@@ -177,22 +171,6 @@ class TenantSloReport:
                 "expired": sum(self.expired_by_tenant.values()),
             },
         }
-
-
-def empty_slo_report(policy: SloPolicy = DEFAULT_SLO) -> SloReport:
-    """An all-``nan`` report for a request set with no completions.
-
-    Used by the per-tenant evaluator for tenants that submitted requests but
-    completed none: the report carries zero samples everywhere, every
-    percentile is ``nan``, and :attr:`SloReport.satisfied` is ``False`` — an
-    unevaluable SLO never passes.
-    """
-    limits = policy.limits()
-    return SloReport(
-        slowdowns={key: float("nan") for key in limits},
-        limits=limits,
-        samples={"ttft": 0, "tbt": 0, "e2e": 0},
-    )
 
 
 def evaluate_slo(
@@ -227,7 +205,19 @@ def evaluate_slo(
     completed = [r for r in requests if r.is_complete]
     if not completed:
         raise ValueError("no completed requests to evaluate against the SLO")
+    series, _ = _slowdown_series(completed, reference_model)
+    return _report(series, policy.limits())
 
+
+def _slowdown_series(
+    completed: list[Request], reference_model: PerformanceModel
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Every TTFT, TBT and E2E slowdown of ``completed``, in request order.
+
+    Returns the three series and, per metric, how many of its samples each
+    request contributed (TTFT and E2E drop a request whose latency or
+    reference is missing; TBT has one sample per token gap).
+    """
     ref_ttft, ref_tbt, ref_e2e = reference_model.unbatched_latencies(
         [r.prompt_tokens for r in completed], [r.output_tokens for r in completed]
     )
@@ -236,62 +226,73 @@ def evaluate_slo(
     e2e = np.array([r.e2e_latency for r in completed], dtype=np.float64)
     ttft_kept = ~np.isnan(ttft) & (ref_ttft > 0)
     e2e_kept = ~np.isnan(e2e) & (ref_e2e > 0)
-    series: dict[str, np.ndarray] = {
+    tbt, tbt_counts = _tbt_slowdown_pool(completed, ref_tbt.tolist())
+    series = {
         "ttft": ttft[ttft_kept] / ref_ttft[ttft_kept],
-        "tbt": _tbt_slowdown_pool(completed, ref_tbt.tolist()),
+        "tbt": tbt,
         "e2e": e2e[e2e_kept] / ref_e2e[e2e_kept],
     }
+    counts = {"ttft": ttft_kept.astype(np.int64), "tbt": tbt_counts, "e2e": e2e_kept.astype(np.int64)}
+    return series, counts
+
+
+def _report(series: dict[str, np.ndarray], limits: dict[tuple[str, float], float]) -> SloReport:
+    """Percentile slowdowns of each series against ``limits``.
+
+    Partitions every series in place (one partition for all of a metric's
+    percentiles).  An empty series reports ``nan`` at each of its
+    percentiles.
+    """
     samples = {metric: int(values.size) for metric, values in series.items()}
-    limits = policy.limits()
     slowdowns: dict[tuple[str, float], float] = {}
     for metric, values in series.items():
         keys = [key for key in limits if key[0] == metric]
         if not values.size:
             slowdowns.update(dict.fromkeys(keys, float("nan")))
         elif keys:
-            # One partition for all of a metric's percentiles; the series is
-            # ours, so numpy may partition it in place.
             points = np.percentile(values, [pct for _, pct in keys], overwrite_input=True)
             slowdowns.update(zip(keys, points.tolist()))
     return SloReport(slowdowns=slowdowns, limits=limits, samples=samples)
 
 
-def _tbt_slowdown_pool(completed: list[Request], ref_tbt: list[float]) -> np.ndarray:
+def _tbt_slowdown_pool(completed: list[Request], ref_tbt: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Every token gap of ``completed``, divided by its request's reference TBT.
 
     One preallocated buffer: each request's gaps are subtracted straight
     into its segment and divided there (the float64 operations of
     ``np.diff(times) / ref``), so no per-request array or concatenated copy
-    of the token times is built.
+    of the token times is built.  Also returns each request's segment
+    length (0 for a request with no gap or no reference).
     """
-    counts = [len(r.token_times) - 1 for r in completed]
-    pool = np.empty(sum(count for count, ref in zip(counts, ref_tbt) if count > 0 and ref > 0))
+    counts = np.array(
+        [max(len(r.token_times) - 1, 0) if ref > 0 else 0 for r, ref in zip(completed, ref_tbt)],
+        dtype=np.int64,
+    )
+    pool = np.empty(int(counts.sum()))
     start = 0
-    for request, count, ref in zip(completed, counts, ref_tbt):
-        if count > 0 and ref > 0:
+    for request, count, ref in zip(completed, counts.tolist(), ref_tbt):
+        if count:
             times = np.frombuffer(request.token_times)
             segment = pool[start : start + count]
             np.subtract(times[1:], times[:-1], out=segment)
             segment /= ref
             start += count
-    return pool
+    return pool, counts
 
 
-def evaluate_slo_by_tenant(
-    requests: Iterable[Request],
-    reference_model: PerformanceModel,
-    policies: Mapping[str, SloPolicy] | None = None,
-    default_policy: SloPolicy = DEFAULT_SLO,
-    fleet_policy: SloPolicy | None = None,
-) -> TenantSloReport:
-    """Evaluate the SLO separately for every tenant, plus a fleet roll-up.
+def evaluate_slo_by_tenant(requests: Iterable[Request], reference_model: PerformanceModel) -> TenantSloReport:
+    """Judge every tenant, and the fleet as a whole, by the Table VI SLO.
 
-    Requests are grouped by their ``tenant`` tag; each group is evaluated
-    against that tenant's policy (``policies[tenant]``, falling back to
-    ``default_policy``).  Tenants appear in the report whenever they
-    *submitted* at least one request: a tenant whose requests all failed to
-    complete gets the all-``nan`` :func:`empty_slo_report`, so a dropped
+    Requests are grouped by their ``tenant`` tag.  Tenants appear in the
+    report whenever they *submitted* at least one request: a tenant whose
+    requests all failed to complete gets an all-``nan`` report, so a dropped
     tenant can never make the fleet look compliant.
+
+    The completed requests are laid out tenant by tenant, so every
+    slowdown is computed once: each tenant's percentiles are taken on its
+    slice of the series, then the roll-up's on the whole series.  A
+    percentile does not depend on element order, so partitioning the
+    slices in place leaves every roll-up value unchanged.
 
     Attempt semantics: a retried or hedged request contributes exactly one
     sample — the fleet layer resolves every attempt back to its logical
@@ -303,47 +304,48 @@ def evaluate_slo_by_tenant(
     Args:
         requests: Requests from a simulation (any mix of tenants).
         reference_model: Uncontended reference machine model.
-        policies: Optional per-tenant SLO overrides.
-        default_policy: Policy for tenants without an explicit entry.
-        fleet_policy: Policy for the roll-up over all requests (defaults to
-            ``default_policy``).
     """
-    policies = policies or {}
     all_requests = list(requests)
     by_tenant: dict[str, list[Request]] = {}
     for request in all_requests:
         by_tenant.setdefault(request.tenant, []).append(request)
 
-    reports: dict[str, SloReport] = {}
+    completed: list[Request] = []
+    ends: list[int] = []
     goodput: dict[str, float] = {}
     degraded_goodput: dict[str, float] = {}
     expired_by_tenant: dict[str, int] = {}
-    for tenant in sorted(by_tenant):
-        policy = policies.get(tenant, default_policy)
+    tenants = sorted(by_tenant)
+    for tenant in tenants:
         group = by_tenant[tenant]
-        completed = sum(1 for r in group if r.is_complete)
-        goodput[tenant] = completed / len(group)
-        degraded = sum(1 for r in group if r.is_complete and getattr(r, "degraded", False))
+        served = [r for r in group if r.is_complete]
+        completed.extend(served)
+        ends.append(len(completed))
+        goodput[tenant] = len(served) / len(group)
+        degraded = sum(1 for r in served if getattr(r, "degraded", False))
         if degraded:
             degraded_goodput[tenant] = degraded / len(group)
         expired = sum(1 for r in group if getattr(r, "expired", False))
         if expired:
             expired_by_tenant[tenant] = expired
-        if completed:
-            reports[tenant] = evaluate_slo(group, reference_model, policy)
-        else:
-            reports[tenant] = empty_slo_report(policy)
 
-    roll_up_policy = fleet_policy or default_policy
-    fleet_completed = sum(1 for r in all_requests if r.is_complete)
-    if fleet_completed:
-        fleet = evaluate_slo(all_requests, reference_model, roll_up_policy)
-    else:
-        fleet = empty_slo_report(roll_up_policy)
-    fleet_goodput = fleet_completed / len(all_requests) if all_requests else float("nan")
-    fleet_degraded = sum(
-        1 for r in all_requests if r.is_complete and getattr(r, "degraded", False)
-    )
+    series, counts = _slowdown_series(completed, reference_model)
+    limits = DEFAULT_SLO.limits()
+    # Tenant i's samples of a metric are series[metric][cut[i]:cut[i + 1]].
+    cuts = {
+        metric: np.concatenate(([0], np.cumsum(per_request)))[[0, *ends]].tolist()
+        for metric, per_request in counts.items()
+    }
+    reports = {
+        tenant: _report(
+            {metric: values[cuts[metric][i] : cuts[metric][i + 1]] for metric, values in series.items()},
+            limits,
+        )
+        for i, tenant in enumerate(tenants)
+    }
+    fleet = _report(series, limits)
+    fleet_goodput = len(completed) / len(all_requests) if all_requests else float("nan")
+    fleet_degraded = sum(1 for r in completed if getattr(r, "degraded", False))
     fleet_degraded_goodput = fleet_degraded / len(all_requests) if all_requests else 0.0
     return TenantSloReport(
         tenants=reports,

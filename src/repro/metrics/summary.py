@@ -11,22 +11,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.simulation.request import Request
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Percentile ``q`` (0-100) of ``values`` using linear interpolation.
-
-    Raises:
-        ValueError: if ``values`` is empty or ``q`` is outside [0, 100].
-    """
-    if not 0 <= q <= 100:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    if not isinstance(values, (Sequence, np.ndarray)):
-        values = list(values)  # one-shot iterables (generators) stay accepted
-    data = np.asarray(values, dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot take a percentile of an empty sequence")
-    return float(np.percentile(data, q))
-
-
 @dataclass(frozen=True)
 class LatencySummary:
     """Percentile summary of one latency metric (seconds).
@@ -90,11 +74,6 @@ class RequestMetrics:
     throughput_rps: float
     completed: int
     total: int
-
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of submitted requests that completed."""
-        return self.completed / self.total if self.total else 0.0
 
 
 def summarize_requests(requests: Iterable[Request], duration_s: float | None = None) -> RequestMetrics:

@@ -12,13 +12,9 @@ Contents:
   (Figs. 8, 9).
 """
 
-from repro.models.llm import BLOOM_176B, LLAMA2_70B, ModelSpec, get_model, registered_models
+from repro.models.llm import BLOOM_176B, LLAMA2_70B, ModelSpec, get_model
 from repro.models.memory import MemoryModel, MemoryUsage
-from repro.models.performance import (
-    AnalyticalPerformanceModel,
-    BatchSpec,
-    PerformanceModel,
-)
+from repro.models.performance import AnalyticalPerformanceModel, PerformanceModel
 from repro.models.power import PowerModel
 
 __all__ = [
@@ -26,10 +22,8 @@ __all__ = [
     "LLAMA2_70B",
     "BLOOM_176B",
     "get_model",
-    "registered_models",
     "MemoryModel",
     "MemoryUsage",
-    "BatchSpec",
     "PerformanceModel",
     "AnalyticalPerformanceModel",
     "PowerModel",

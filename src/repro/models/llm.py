@@ -90,10 +90,6 @@ class ModelSpec:
             raise ValueError(f"num_tokens must be non-negative, got {num_tokens}")
         return self.kv_bytes_per_token * num_tokens
 
-    def flops_per_token(self) -> float:
-        """Approximate forward-pass FLOPs per token (2 x parameters)."""
-        return 2.0 * self.num_parameters
-
 
 #: Llama2-70B: 80 layers, 8192 hidden, 64 query heads, 8 KV heads (GQA).
 LLAMA2_70B = ModelSpec(
@@ -119,11 +115,6 @@ _REGISTRY: dict[str, ModelSpec] = {
     "LLAMA2-70B": LLAMA2_70B,
     "BLOOM-176B": BLOOM_176B,
 }
-
-
-def registered_models() -> dict[str, ModelSpec]:
-    """Return a copy of the registry of known model specs keyed by name."""
-    return dict(_REGISTRY)
 
 
 def get_model(name: str) -> ModelSpec:

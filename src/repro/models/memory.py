@@ -95,16 +95,6 @@ class MemoryModel:
         self._kv_budget_bytes = budget
 
     @property
-    def capacity_bytes(self) -> float:
-        """Usable HBM capacity of the machine in bytes."""
-        return self.machine.total_hbm_capacity_gb * GB * self.usable_fraction
-
-    @property
-    def kv_budget_bytes(self) -> float:
-        """Bytes available for KV-cache after weights and activations."""
-        return self._kv_budget_bytes
-
-    @property
     def max_kv_tokens(self) -> int:
         """Maximum number of cached context tokens the machine can hold."""
         return int(self._kv_budget_bytes // self.model.kv_bytes_per_token)
@@ -123,12 +113,3 @@ class MemoryModel:
             activation_bytes=self.activation_reserve_bytes,
             kv_cache_bytes=self.model.kv_cache_bytes(cached_tokens),
         )
-
-    def fits(self, cached_tokens: int | float) -> bool:
-        """Whether ``cached_tokens`` of KV-cache fit within the budget."""
-        return self.model.kv_cache_bytes(cached_tokens) <= self._kv_budget_bytes
-
-    def remaining_tokens(self, cached_tokens: int | float) -> int:
-        """How many more KV tokens fit given ``cached_tokens`` already cached."""
-        remaining_bytes = self._kv_budget_bytes - self.model.kv_cache_bytes(cached_tokens)
-        return max(0, int(remaining_bytes // self.model.kv_bytes_per_token))

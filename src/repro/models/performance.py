@@ -11,17 +11,16 @@ Table IV); :class:`PerformanceModel` is the interface it implements.
 Latency is always returned in **seconds**; calibration constants are stored
 in milliseconds because that is how the paper reports them.
 
-Batch composition is described by :class:`BatchSpec`: an iteration may
-process prompt tokens (prefill), token-phase requests (decode), or both
-(mixed batching).  Mixed iterations are modeled additively — the prompt work
-and the token work share the machine serially within an iteration — which is
-what makes mixed batching inflate TBT in the paper's Fig. 2(c).
+An iteration may process prompt tokens (prefill), token-phase requests
+(decode), or both (mixed batching).  The machine that runs it adds the two
+phase latencies — the prompt work and the token work share the machine
+serially within an iteration — which is what makes mixed batching inflate
+TBT in the paper's Fig. 2(c).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,49 +35,6 @@ KV_READ_EFFICIENCY = 0.8
 
 #: Reference context length per request used when profiling decode latency.
 DEFAULT_REFERENCE_CONTEXT = 1024
-
-
-@dataclass(frozen=True)
-class BatchSpec:
-    """Composition of a single forward-pass iteration.
-
-    Attributes:
-        prompt_tokens: Total prompt tokens processed this iteration (the sum
-            over all requests currently in their prompt phase).
-        token_requests: Number of requests in their token-generation phase
-            batched into this iteration (each contributes one active token).
-        context_tokens: Total cached context tokens (KV-cache entries) read
-            by the token-phase requests in this iteration.
-    """
-
-    prompt_tokens: int = 0
-    token_requests: int = 0
-    context_tokens: int = 0
-
-    def __post_init__(self) -> None:
-        if self.prompt_tokens < 0:
-            raise ValueError(f"prompt_tokens must be non-negative, got {self.prompt_tokens}")
-        if self.token_requests < 0:
-            raise ValueError(f"token_requests must be non-negative, got {self.token_requests}")
-        if self.context_tokens < 0:
-            raise ValueError(f"context_tokens must be non-negative, got {self.context_tokens}")
-        if self.token_requests == 0 and self.context_tokens > 0:
-            raise ValueError("context_tokens requires token_requests > 0")
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the iteration has no work."""
-        return self.prompt_tokens == 0 and self.token_requests == 0
-
-    @property
-    def is_mixed(self) -> bool:
-        """True when prompt and token work share the iteration."""
-        return self.prompt_tokens > 0 and self.token_requests > 0
-
-    @property
-    def active_tokens(self) -> int:
-        """Active tokens as defined in Fig. 4: prompt tokens plus one per decoding request."""
-        return self.prompt_tokens + self.token_requests
 
 
 class PerformanceModel(ABC):
@@ -134,17 +90,6 @@ class PerformanceModel(ABC):
 
     # -- derived quantities ------------------------------------------------------
 
-    def iteration_latency(self, batch: BatchSpec) -> float:
-        """Seconds for an iteration with the given (possibly mixed) composition."""
-        if batch.is_empty:
-            return 0.0
-        latency = 0.0
-        if batch.prompt_tokens > 0:
-            latency += self.prompt_latency(batch.prompt_tokens)
-        if batch.token_requests > 0:
-            latency += self.token_latency(batch.token_requests, batch.context_tokens)
-        return latency
-
     def ttft(self, prompt_tokens: int) -> float:
         """Time to first token for an unbatched request (Fig. 5a)."""
         return self.prompt_latency(prompt_tokens)
@@ -152,13 +97,6 @@ class PerformanceModel(ABC):
     def tbt(self, batch_size: int = 1, context_tokens: int | None = None) -> float:
         """Time between tokens at a given decode batch size (Fig. 5b)."""
         return self.token_latency(batch_size, context_tokens)
-
-    def e2e_latency(self, prompt_tokens: int, output_tokens: int) -> float:
-        """End-to-end latency of one request run alone (no batching, Fig. 5c).
-
-        The one-request case of :meth:`unbatched_latencies`.
-        """
-        return float(self.unbatched_latencies([prompt_tokens], [output_tokens])[2][0])
 
     def unbatched_latencies(
         self, prompt_tokens: Sequence[int] | np.ndarray, output_tokens: Sequence[int] | np.ndarray

@@ -125,10 +125,6 @@ class PowerModel:
         self._token_power_cache[batch_size] = power
         return power
 
-    def idle_power_watts(self) -> float:
-        """GPU draw of an idle (loaded but not executing) machine in watts."""
-        return IDLE_FRACTION * self.machine.gpu_tdp_watts
-
     # -- power capping ----------------------------------------------------------
 
     def prompt_cap_slowdown(self, batched_tokens: int | float, cap_fraction: float | None = None) -> float:

@@ -87,15 +87,6 @@ class Histogram:
         out.append((float("inf"), self.total))
         return out
 
-    def to_dict(self) -> dict:
-        """JSON-friendly summary."""
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "total": self.total,
-            "sum": self.sum,
-        }
-
 
 class MetricsRegistry:
     """Columnar sim-time series plus named histograms.

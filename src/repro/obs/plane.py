@@ -81,7 +81,7 @@ class ObservabilityPlane:
 
         Without this the ticker would keep the engine alive past the last
         completion, inflating ``engine.now`` — the same reason the fleet
-        stops its autoscalers and provisioner there.
+        stops its provisioner there.
         """
         if self.ticker is not None:
             self.ticker.stop()

@@ -24,9 +24,9 @@ Span taxonomy (see ``docs/observability.md``):
   child spans on the same track.
 * ``lifecycle`` — instants for routing, retries, hedges, shedding,
   degradation, and expiry.
-* ``control`` — autoscaler re-purposing, provisioner actions, router
-  ban/probation transitions, and fault injections; correlated outages are
-  recorded as real duration spans.
+* ``control`` — provisioner actions, router ban/probation transitions,
+  and fault injections; correlated outages are recorded as real duration
+  spans.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ class SpanRecorder:
         elif request.expired:
             outcome = "expired"
         else:
-            outcome = "incomplete"  # horizon-capped runs only; never under drain
+            outcome = "incomplete"  # never in a drained run; the run's census raises on it
         process = (
             _cluster_of_machine(request.token_machine)
             or _cluster_of_machine(request.prompt_machine)
@@ -312,8 +312,8 @@ class SpanRecorder:
         """Terminal instant of a request's root span.
 
         Completions and expirations carry exact instants; shed requests were
-        rejected at arrival (zero-length span); anything still in flight at a
-        horizon cap is clipped to the run window.
+        rejected at arrival (zero-length span); anything else (a request
+        with no terminal outcome) is clipped to the run window.
         """
         if request.completion_time is not None:
             return request.completion_time
@@ -325,21 +325,6 @@ class SpanRecorder:
         return max(request.arrival_time, duration_s)
 
     def _record_control_plane(self, result: "FleetResult") -> None:
-        for cluster_name in sorted(result.cluster_results):
-            autoscaler = result.cluster_results[cluster_name].autoscaler
-            if autoscaler is None:
-                continue
-            for event in autoscaler.timeline:
-                self.instant(
-                    f"autoscale:{event.action}", event.time_s, cat="control",
-                    process=cluster_name, thread="autoscaler",
-                    args={
-                        "machine": event.machine,
-                        "from": event.from_pool,
-                        "to": event.to_pool,
-                        "reason": event.reason,
-                    },
-                )
         if result.provisioner is not None:
             for event in result.provisioner.timeline:
                 self.instant(

@@ -70,16 +70,6 @@ class RecurringTask:
         self.fire_count = 0
         self._event = engine.schedule_after(first_delay, self._fire, priority=priority, tag=tag)
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether the task has been cancelled."""
-        return self._cancelled
-
-    @property
-    def next_event(self) -> Event | None:
-        """The pending event for the next occurrence (None once cancelled)."""
-        return None if self._cancelled else self._event
-
     def _fire(self) -> None:
         if self._cancelled:
             return

@@ -310,11 +310,6 @@ class Request:
         return np.diff(view)
 
     @property
-    def token_intervals(self) -> list[float]:
-        """Per-token gaps after the first token (the TBT series)."""
-        return self.token_intervals_np.tolist()
-
-    @property
     def mean_tbt(self) -> float | None:
         """Average time between tokens (None when fewer than two tokens).
 
@@ -327,16 +322,3 @@ class Request:
         if not gaps.size:
             return None
         return float(np.cumsum(gaps)[-1] / gaps.size)
-
-    @property
-    def max_tbt(self) -> float | None:
-        """Worst-case time between tokens (None when fewer than two tokens)."""
-        gaps = self.token_intervals
-        return max(gaps) if gaps else None
-
-    @property
-    def queueing_delay(self) -> float | None:
-        """Time spent waiting before the prompt phase started."""
-        if self.prompt_start_time is None:
-            return None
-        return self.prompt_start_time - self.arrival_time

@@ -128,19 +128,12 @@ class ShardResult:
     machine_stats: dict[str, dict[str, dict]]
 
 
-def plan_shards(
-    fleet: "FleetSimulation",
-    requested: int,
-    drain: bool = True,
-    horizon_s: float | None = None,
-) -> ShardPlan:
+def plan_shards(fleet: "FleetSimulation", requested: int) -> ShardPlan:
     """Decide whether (and how) a fleet run can execute as parallel shards.
 
     Args:
         fleet: The fleet about to run.
         requested: Requested worker count (``parallel=N``, must be >= 1).
-        drain: The run's ``drain`` flag.
-        horizon_s: The run's ``horizon_s`` argument.
 
     Returns:
         A :class:`ShardPlan`; ``mode == "serial"`` lists every coupling that
@@ -168,12 +161,6 @@ def plan_shards(
         reasons.append("armed fault plane injects correlated cross-cluster outages")
     if fleet.obs is not None:
         reasons.append("observability plane records one fleet-wide timeline")
-    if any(cluster.simulation.autoscaler is not None for cluster in fleet.clusters):
-        reasons.append("per-cluster autoscaler stop couples to the fleet-wide census")
-    if not drain:
-        reasons.append("non-draining runs stop all clusters on one shared clock")
-    if horizon_s is not None:
-        reasons.append("horizon-bounded runs stop all clusters on one shared clock")
     if reasons:
         return ShardPlan(
             requested=requested,

@@ -9,17 +9,15 @@ provides synthetic generators whose distributions match the published CDFs
 format as the public release.
 """
 
-from repro.workload.arrival import ArrivalProcess, PoissonArrivalProcess, UniformArrivalProcess
+from repro.workload.arrival import ArrivalProcess, PoissonArrivalProcess
 from repro.workload.distributions import (
     CODING_WORKLOAD,
     CONVERSATION_WORKLOAD,
-    EmpiricalTokenDistribution,
     LogNormalTokenDistribution,
     MixtureTokenDistribution,
     TokenDistribution,
     WorkloadSpec,
     get_workload,
-    registered_workloads,
 )
 from repro.workload.generator import TraceGenerator, generate_trace
 from repro.workload.scenarios import (
@@ -28,10 +26,8 @@ from repro.workload.scenarios import (
     PiecewiseRateArrival,
     Scenario,
     SinusoidalDiurnalArrival,
-    concat_traces,
     get_scenario,
     mix_traces,
-    splice_traces,
 )
 from repro.workload.trace import RequestDescriptor, Trace
 
@@ -42,21 +38,16 @@ __all__ = [
     "Scenario",
     "SCENARIO_PRESETS",
     "get_scenario",
-    "concat_traces",
-    "splice_traces",
     "mix_traces",
     "TokenDistribution",
     "LogNormalTokenDistribution",
     "MixtureTokenDistribution",
-    "EmpiricalTokenDistribution",
     "WorkloadSpec",
     "CODING_WORKLOAD",
     "CONVERSATION_WORKLOAD",
     "get_workload",
-    "registered_workloads",
     "ArrivalProcess",
     "PoissonArrivalProcess",
-    "UniformArrivalProcess",
     "RequestDescriptor",
     "Trace",
     "TraceGenerator",

@@ -2,8 +2,7 @@
 
 The paper tunes a Poisson arrival rate over the production token-size
 distributions to sweep cluster load (requests per second) when sizing
-clusters.  A deterministic (uniform-spacing) process is also provided for
-reproducible micro-experiments.
+clusters.
 """
 
 from __future__ import annotations
@@ -60,20 +59,3 @@ class PoissonArrivalProcess(ArrivalProcess):
         if duration_s < 0:
             raise ValueError(f"duration_s must be non-negative, got {duration_s}")
         return homogeneous_poisson_times(rng, self.rate_rps, duration_s)
-
-
-@dataclass(frozen=True)
-class UniformArrivalProcess(ArrivalProcess):
-    """Deterministic arrivals spaced exactly ``1 / rate_rps`` seconds apart."""
-
-    rate_rps: float
-
-    def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError(f"rate_rps must be positive, got {self.rate_rps}")
-
-    def arrival_times(self, rng: np.random.Generator, duration_s: float) -> np.ndarray:
-        if duration_s < 0:
-            raise ValueError(f"duration_s must be non-negative, got {duration_s}")
-        count = int(np.floor(duration_s * self.rate_rps))
-        return np.arange(count, dtype=float) / self.rate_rps

@@ -12,8 +12,8 @@ two Azure production services:
 We model each marginal with a clipped log-normal (or a mixture of two
 log-normals for the bimodal conversation outputs).  The synthetic generators
 match the published medians and overall CDF shape, which is all the
-simulator consumes.  :class:`EmpiricalTokenDistribution` lets users plug in
-the real Azure trace instead.
+simulator consumes.  The real Azure trace can be replayed instead with
+:meth:`repro.workload.trace.Trace.from_csv`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,14 +31,6 @@ class TokenDistribution(ABC):
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` samples as an integer array."""
-
-    @abstractmethod
-    def median(self) -> float:
-        """Median of the distribution (before integer rounding)."""
-
-    def sample_one(self, rng: np.random.Generator) -> int:
-        """Draw a single sample."""
-        return int(self.sample(rng, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -76,9 +67,6 @@ class LogNormalTokenDistribution(TokenDistribution):
         raw = rng.lognormal(mean=math.log(self.median_tokens), sigma=self.sigma, size=size)
         return np.clip(np.rint(raw), self.min_tokens, self.max_tokens).astype(int)
 
-    def median(self) -> float:
-        return float(np.clip(self.median_tokens, self.min_tokens, self.max_tokens))
-
 
 @dataclass(frozen=True)
 class MixtureTokenDistribution(TokenDistribution):
@@ -113,41 +101,6 @@ class MixtureTokenDistribution(TokenDistribution):
             if count:
                 out[mask] = component.sample(rng, count)
         return out
-
-    def median(self) -> float:
-        # Approximate the mixture median by sampling; adequate for reporting.
-        rng = np.random.default_rng(0)
-        return float(np.median(self.sample(rng, 20000)))
-
-
-@dataclass(frozen=True)
-class EmpiricalTokenDistribution(TokenDistribution):
-    """Distribution that resamples from observed token counts.
-
-    Use this to drive the simulator with the real Azure trace: load the
-    prompt/output token columns and wrap them here.
-    """
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("values must be non-empty")
-        if any(v < 1 for v in self.values):
-            raise ValueError("all token counts must be >= 1")
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[int]) -> "EmpiricalTokenDistribution":
-        """Build from any sequence of observed token counts."""
-        return cls(values=tuple(int(v) for v in samples))
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        return rng.choice(np.asarray(self.values, dtype=int), size=size, replace=True)
-
-    def median(self) -> float:
-        return float(np.median(self.values))
 
 
 @dataclass(frozen=True)
@@ -189,11 +142,6 @@ _REGISTRY: dict[str, WorkloadSpec] = {
     "CODING": CODING_WORKLOAD,
     "CONVERSATION": CONVERSATION_WORKLOAD,
 }
-
-
-def registered_workloads() -> dict[str, WorkloadSpec]:
-    """Return a copy of the registry of known workloads keyed by name."""
-    return dict(_REGISTRY)
 
 
 def get_workload(name: str) -> WorkloadSpec:

@@ -3,8 +3,8 @@
 The paper's cluster-level scheduler earns its keep on *time-varying* traffic:
 machines are re-purposed between the prompt, token, and mixed pools as load
 shifts, which is how Splitwise absorbs bursty or diurnal traffic without
-over-provisioning for the peak (§IV-A).  The stationary Poisson/uniform
-processes in :mod:`repro.workload.arrival` cannot exercise that behavior, so
+over-provisioning for the peak (§IV-A).  The stationary Poisson process
+in :mod:`repro.workload.arrival` cannot exercise that behavior, so
 this module adds:
 
 * **Non-stationary arrival processes** — :class:`PiecewiseRateArrival`
@@ -13,10 +13,8 @@ this module adds:
   :class:`MarkovModulatedArrival` (a two-state MMPP whose burst state models
   traffic storms).  All are exact inhomogeneous-Poisson generators and fully
   deterministic under a seed.
-* **Trace composition helpers** — :func:`concat_traces`,
-  :func:`splice_traces`, and :func:`mix_traces` build day-scale composites
-  (e.g. a coding tenant overlaid on a conversation tenant) out of simpler
-  traces.
+* **Trace composition** — :func:`mix_traces` superposes two traces (e.g. a
+  coding tenant overlaid on a conversation tenant).
 * **Named scenario presets** — ``diurnal``, ``burst-storm``,
   ``failure-under-load``, and ``mixed-tenant``: each bundles a trace builder,
   a statically provisioned (peak-sized) cluster design, and optional failure
@@ -242,35 +240,6 @@ def _renumbered(requests: Sequence[RequestDescriptor]) -> tuple[RequestDescripto
     return tuple(replace(r, request_id=i) for i, r in enumerate(ordered))
 
 
-def concat_traces(first: Trace, second: Trace, gap_s: float = 0.0) -> Trace:
-    """Append ``second`` after ``first`` (shifted past its last arrival + ``gap_s``)."""
-    if gap_s < 0:
-        raise ValueError(f"gap_s must be non-negative, got {gap_s}")
-    offset = first.duration_s + gap_s
-    shifted = [replace(r, arrival_time_s=r.arrival_time_s + offset) for r in second]
-    return Trace(
-        requests=_renumbered(list(first.requests) + shifted),
-        name=f"{first.name}+{second.name}",
-        metadata={"composed": "concat", "parts": [first.name, second.name], "gap_s": gap_s},
-    )
-
-
-def splice_traces(base: Trace, insert: Trace, at_s: float) -> Trace:
-    """Overlay ``insert`` onto ``base`` starting at trace time ``at_s``.
-
-    Both tenants keep arriving; the result is their superposition (e.g. a
-    burst storm spliced into a steady day).
-    """
-    if at_s < 0:
-        raise ValueError(f"at_s must be non-negative, got {at_s}")
-    shifted = [replace(r, arrival_time_s=r.arrival_time_s + at_s) for r in insert]
-    return Trace(
-        requests=_renumbered(list(base.requests) + shifted),
-        name=f"{base.name}<~{insert.name}@{at_s:g}s",
-        metadata={"composed": "splice", "parts": [base.name, insert.name], "at_s": at_s},
-    )
-
-
 def mix_traces(first: Trace, second: Trace) -> Trace:
     """Superpose two traces arriving over the same window (multi-tenant mix)."""
     return Trace(
@@ -302,7 +271,7 @@ class Scenario:
         tenant: Tenant tag of the base trace (defaults to the workload name).
             Tenant assignment happens at trace generation — not inside any
             preset — so composed and replayed traces keep their tags (see
-            :meth:`repro.workload.trace.Trace.with_tenant`).
+            :class:`repro.workload.generator.TraceGenerator`).
         compose_with: Optional second tenant mixed in: ``(workload, scale ->
             ArrivalProcess)``; its requests are tagged with that workload
             name as their tenant.

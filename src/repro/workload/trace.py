@@ -67,11 +67,6 @@ class RequestDescriptor:
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
 
-    @property
-    def total_tokens(self) -> int:
-        """Prompt plus output tokens."""
-        return self.prompt_tokens + self.output_tokens
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -99,9 +94,6 @@ class Trace:
 
     def __iter__(self) -> Iterator[RequestDescriptor]:
         return iter(self.requests)
-
-    def __getitem__(self, index: int) -> RequestDescriptor:
-        return self.requests[index]
 
     @property
     def duration_s(self) -> float:
@@ -159,18 +151,6 @@ class Trace:
         )
         return Trace(requests=requests, name=self.name, metadata={**self.metadata, "scaled_to_rps": target_rps})
 
-    def with_tenant(self, tenant: str) -> "Trace":
-        """Return a copy with every request assigned to ``tenant``.
-
-        This is the one sanctioned way to (re-)tag a trace: presets tag their
-        component traces before composing them, and replayed CSV traces can
-        be tagged before joining a multi-tenant mix.
-        """
-        if not tenant:
-            raise ValueError("tenant must be a non-empty string")
-        requests = tuple(replace(r, tenant=tenant) for r in self.requests)
-        return Trace(requests=requests, name=self.name, metadata={**self.metadata, "tenant": tenant})
-
     def tenants(self) -> tuple[str, ...]:
         """Distinct tenant tags present in the trace, sorted."""
         return tuple(sorted({r.tenant for r in self.requests}))
@@ -180,10 +160,6 @@ class Trace:
     def prompt_token_counts(self) -> list[int]:
         """Prompt token count of every request."""
         return [r.prompt_tokens for r in self.requests]
-
-    def output_token_counts(self) -> list[int]:
-        """Output token count of every request."""
-        return [r.output_tokens for r in self.requests]
 
     # -- serialization -------------------------------------------------------------
 

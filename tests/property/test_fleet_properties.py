@@ -4,8 +4,8 @@ The fleet router distributes one request stream over several clusters; these
 tests pin the invariants that make that safe:
 
 * **Census conservation** — no request is lost or duplicated across
-  clusters, under every routing policy, with bursting, per-cluster
-  autoscaling, and machine failures in play.
+  clusters, under every routing policy, with bursting and machine failures
+  in play.
 * **Seed determinism** — identical seeds produce bit-identical timelines
   (request timestamps, provisioning actions, routing counts).
 * **Fast-forward parity** — decode fast-forwarding on/off produces exactly
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.autoscaler import AutoscalerConfig
 from repro.core.designs import splitwise_hh
 from repro.fleet import FleetProvisionerConfig, FleetSimulation, ROUTER_POLICIES
 from repro.workload.scenarios import get_scenario
@@ -29,7 +28,7 @@ def _mixed_tenant_trace(seed, scale=1.0):
     return get_scenario("mixed-tenant").build_trace(seed=seed, scale=scale)
 
 
-def _run_fleet(trace, policy="slo-feedback", fast_forward=True, burst=True, autoscaler=None):
+def _run_fleet(trace, policy="slo-feedback", fast_forward=True, burst=True):
     kwargs = {}
     if burst:
         kwargs["burst_clusters"] = 1
@@ -39,7 +38,6 @@ def _run_fleet(trace, policy="slo-feedback", fast_forward=True, burst=True, auto
         num_clusters=2,
         router=policy,
         fast_forward=fast_forward,
-        autoscaler=autoscaler,
         **kwargs,
     )
     return fleet.run(trace)
@@ -90,16 +88,6 @@ class TestFleetCensus:
         routed_ids = [r.request_id for c in result.clusters for r in c.requests]
         assert sorted(routed_ids) == [r.request_id for r in result.requests]
 
-    def test_census_conserved_with_autoscaler_and_provisioner(self):
-        trace = _mixed_tenant_trace(3, scale=0.5)
-        result = _run_fleet(
-            trace, autoscaler=AutoscalerConfig(min_prompt_machines=1, min_token_machines=1)
-        )
-        assert result.completion_rate == 1.0
-        routed_ids = [r.request_id for c in result.clusters for r in c.requests]
-        assert sorted(routed_ids) == [r.request_id for r in result.requests]
-
-
 class TestFleetDeterminism:
     @given(seed=st.integers(min_value=0, max_value=2**10))
     @settings(max_examples=3, deadline=None)
@@ -121,11 +109,4 @@ class TestFleetFastForwardParity:
         trace = _mixed_tenant_trace(5, scale=0.5)
         on = _run_fleet(trace, policy=policy, fast_forward=True)
         off = _run_fleet(trace, policy=policy, fast_forward=False)
-        assert _fingerprint(on) == _fingerprint(off)
-
-    def test_bit_parity_with_autoscaler_and_provisioner(self):
-        trace = _mixed_tenant_trace(9, scale=0.5)
-        autoscaler = AutoscalerConfig()
-        on = _run_fleet(trace, fast_forward=True, autoscaler=autoscaler)
-        off = _run_fleet(trace, fast_forward=False, autoscaler=autoscaler)
         assert _fingerprint(on) == _fingerprint(off)

@@ -60,7 +60,7 @@ class TestPerformanceModelProperties:
 
     @given(prompt_tokens, st.integers(min_value=1, max_value=64))
     def test_e2e_at_least_ttft(self, tokens, outputs):
-        assert _PERF_H100.e2e_latency(tokens, outputs) >= _PERF_H100.ttft(tokens)
+        assert _PERF_H100.unbatched_latencies([tokens], [outputs])[2][0] >= _PERF_H100.ttft(tokens)
 
 
 def _per_token_e2e(perf, prompt, output):
@@ -97,7 +97,8 @@ class TestUnbatchedLatencies:
             assert float(ttft[i]).hex() == perf.prompt_latency(prompt).hex()
             assert float(tbt[i]).hex() == perf.token_latency(1, prompt).hex()
         prompt, output = requests[-1]
-        assert perf.e2e_latency(prompt, output).hex() == _per_token_e2e(perf, prompt, output).hex()
+        single = perf.unbatched_latencies([prompt], [output])[2][0]
+        assert float(single).hex() == _per_token_e2e(perf, prompt, output).hex()
 
 
 class TestPowerModelProperties:
@@ -127,17 +128,6 @@ class TestMemoryModelProperties:
     @given(st.integers(min_value=0, max_value=200_000))
     def test_usage_monotone(self, tokens):
         assert _MEMORY.usage(tokens + 1).total_bytes >= _MEMORY.usage(tokens).total_bytes
-
-    @given(st.integers(min_value=0, max_value=200_000))
-    def test_fits_iff_within_budget(self, tokens):
-        assert _MEMORY.fits(tokens) == (BLOOM_176B.kv_cache_bytes(tokens) <= _MEMORY.kv_budget_bytes)
-
-    @given(st.integers(min_value=0, max_value=200_000))
-    def test_remaining_plus_used_not_above_capacity(self, tokens):
-        remaining = _MEMORY.remaining_tokens(tokens)
-        assert remaining >= 0
-        if _MEMORY.fits(tokens):
-            assert tokens + remaining <= _MEMORY.max_kv_tokens + 1
 
 
 class TestTransferModelProperties:

@@ -39,7 +39,7 @@ def _assert_requests_identical(reference, columnar):
         assert ref.request_id == col.request_id
         assert ref.generated_tokens == col.generated_tokens
         assert list(ref.token_times) == list(col.token_times)
-        assert ref.token_intervals == col.token_intervals
+        assert ref.token_intervals_np.tolist() == col.token_intervals_np.tolist()
         assert ref.first_token_time == col.first_token_time
         assert ref.completion_time == col.completion_time
         assert ref.phase is col.phase
@@ -48,8 +48,8 @@ def _assert_requests_identical(reference, columnar):
 
 
 def _assert_machine_stats_identical(ref_metrics, col_metrics):
-    assert ref_metrics.machines() == col_metrics.machines()
-    for name in ref_metrics.machines():
+    assert list(ref_metrics.export_machine_stats()) == list(col_metrics.export_machine_stats())
+    for name in ref_metrics.export_machine_stats():
         ref = ref_metrics.machine_stats(name)
         col = col_metrics.machine_stats(name)
         assert ref.iterations == col.iterations

@@ -214,15 +214,21 @@ class TestPoolAutoscaler:
 
 
 class TestScenarioExperiment:
-    def test_scenario_sweep_reports_savings(self):
-        from repro.experiments import scenario_sweep
+    def test_prepared_scenario_runs_report_savings(self):
+        from repro.experiments.scenarios import cluster_run_summary, prepare_scenario_run
 
-        results = scenario_sweep(presets=["diurnal"], scale=0.7, seed=0)
-        entry = results["diurnal"]
-        assert entry["static"]["completion_rate"] == 1.0
-        assert entry["autoscaled"]["completion_rate"] == 1.0
-        assert entry["autoscaled"]["slo_samples"]["tbt"] > 0
-        assert entry["machine_hours_saved"] >= 0.0
+        summaries = {}
+        for autoscaled in (False, True):
+            simulation, trace, failures = prepare_scenario_run(
+                get_scenario("diurnal"), seed=0, scale=0.7, autoscaled=autoscaled
+            )
+            result = simulation.run(trace, failures=failures)
+            summaries[autoscaled] = cluster_run_summary(result, result.slo_report())
+        static, autoscaled = summaries[False], summaries[True]
+        assert static["completion_rate"] == 1.0
+        assert autoscaled["completion_rate"] == 1.0
+        assert autoscaled["slo_samples"]["tbt"] > 0
+        assert static["machine_hours"] - autoscaled["machine_hours"] >= 0.0
 
     def test_preset_overrides_flow_into_config(self):
         preset = get_scenario("burst-storm")

@@ -60,9 +60,6 @@ class TestBatchPlan:
         assert plan.prompt_tokens == 500
         assert plan.active_tokens == 501
         assert plan.context_tokens == 101
-        spec = plan.to_batch_spec()
-        assert spec.prompt_tokens == 500
-        assert spec.token_requests == 1
 
     def test_empty(self):
         assert BatchPlan().is_empty

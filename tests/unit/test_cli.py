@@ -169,15 +169,6 @@ class TestScenarioCommand:
         assert first["machine_hours_saved"] > 0
         assert isinstance(first["timeline"], list)
 
-    def test_json_runs_match_scenario_sweep(self, capsys):
-        from repro.experiments import scenario_sweep
-
-        main(["scenario", "--preset", "diurnal", "--scale", "0.5", "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        sweep = scenario_sweep(presets=["diurnal"], scale=0.5)["diurnal"]
-        for key in ("static", "autoscaled", "machine_hours_saved"):
-            assert sweep[key] == payload[key], key
-
     def test_no_autoscaler_skips_comparison(self, capsys):
         code = main(["scenario", "--preset", "failure-under-load", "--scale", "0.5",
                      "--no-autoscaler", "--json"])

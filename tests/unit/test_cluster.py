@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cluster import ClusterSimulation, simulate_design, simulate_designs
-from repro.core.designs import baseline_h100, splitwise_hh
-from repro.core.machine import MachineRole
+from repro.core.cluster import ClusterSimulation, simulate_design
+from repro.core.machine import AccountingError, MachineRole
 from repro.models.llm import LLAMA2_70B
 from repro.workload.trace import Trace
 
@@ -46,21 +45,30 @@ class TestSimulationRun:
         assert len(result.completed_requests) == len(tiny_trace)
         assert result.duration_s >= tiny_trace.duration_s
 
-    def test_without_drain_stops_at_trace_end(self, small_splitwise_design, small_trace):
+    def test_run_drains_past_the_last_arrival(self, small_splitwise_design):
+        # The long request arrives last: the run's window ends at its completion.
+        trace = Trace.from_records([(0.0, 512, 8), (0.2, 256, 4), (0.4, 1024, 300)], name="tail")
         simulation = ClusterSimulation(small_splitwise_design)
-        result = simulation.run(small_trace, drain=False)
-        assert result.duration_s == pytest.approx(small_trace.duration_s)
+        result = simulation.run(trace)
+        assert simulation.engine.pending_events == 0
+        assert result.completion_rate == 1.0
+        last_completion = max(r.completion_time for r in result.requests)
+        assert last_completion > trace.duration_s + 1.0
+        assert result.duration_s == last_completion
 
-    def test_horizon_limits_simulation(self, small_splitwise_design, small_trace):
-        simulation = ClusterSimulation(small_splitwise_design)
-        result = simulation.run(small_trace, horizon_s=5.0)
-        assert result.duration_s >= 5.0
-        assert result.completion_rate < 1.0
+    def test_run_window_counts_a_failure_after_the_last_completion(self, small_splitwise_design, tiny_trace):
+        # The failure fires after every request has completed: the engine
+        # still runs its event, so the window ends there.
+        result = simulate_design(small_splitwise_design, tiny_trace, failures=[(120.0, "prompt-1")])
+        assert result.completion_rate == 1.0
+        assert max(r.completion_time for r in result.requests) < 120.0
+        assert result.duration_s == 120.0
 
     def test_metrics_and_energy_populated(self, small_splitwise_design, tiny_trace):
         result = simulate_design(small_splitwise_design, tiny_trace)
         assert result.total_energy_wh() > 0
-        assert 0 < result.mean_utilization() <= 1.0
+        busy = [result.metrics.machine_stats(m.name).busy_time_s for m in result.scheduler.machines]
+        assert 0 < sum(busy) / (len(busy) * result.duration_s) <= 1.0
         metrics = result.request_metrics()
         assert metrics.completed == len(tiny_trace)
         assert metrics.ttft.p50 > 0
@@ -77,10 +85,6 @@ class TestSimulationRun:
         token_occupancy = result.occupancy_by_home_role(MachineRole.TOKEN)
         assert prompt_occupancy.total_time > 0
         assert token_occupancy.total_time > 0
-
-    def test_simulate_designs_returns_label_keyed_results(self, tiny_trace):
-        results = simulate_designs([splitwise_hh(1, 1), baseline_h100(1)], tiny_trace)
-        assert set(results) == {"Splitwise-HH (1P, 1T)", "Baseline-H100 (1P/T)"}
 
     def test_empty_trace_produces_no_metrics(self, small_splitwise_design):
         result = simulate_design(small_splitwise_design, Trace(requests=(), name="empty"))
@@ -104,3 +108,47 @@ class TestSimulationRun:
         assert (
             result.request_metrics().e2e.p50 > llama_result.request_metrics().e2e.p50
         )
+
+
+class TestDrainedCheck:
+    def test_finish_names_a_machine_with_an_in_flight_macro_event(self, small_splitwise_design, small_trace):
+        # Step the engine by hand and stop while a token machine is inside a
+        # coalesced fast-forward run: closing the run there must raise.
+        from repro.simulation.request import Request
+
+        simulation = ClusterSimulation(small_splitwise_design)
+        requests = [Request(descriptor=descriptor) for descriptor in small_trace]
+        simulation.prepare()
+        for request in requests:
+            simulation.engine.schedule_at(
+                request.arrival_time, lambda req=request: simulation.scheduler.submit(req)
+            )
+        token = next(m for m in simulation.machines if m.home_role is MachineRole.TOKEN)
+        while simulation.engine.pending_events and token._ff_boundaries is None:
+            simulation.engine.step()
+        assert token._ff_boundaries is not None
+        with pytest.raises(AccountingError, match=f"machine {token.name}: .*_ff_boundaries"):
+            simulation.finish(requests, small_trace.name, simulation.engine.now)
+
+    @pytest.mark.parametrize("record", ["_running_plan", "_ff_boundaries", "_rot_forest", "_rot_selection"])
+    def test_finish_names_each_in_flight_record(self, small_splitwise_design, tiny_trace, record):
+        simulation = ClusterSimulation(small_splitwise_design)
+        result = simulation.run(tiny_trace)
+        machine = simulation.machines[1]
+        setattr(machine, record, object())
+        with pytest.raises(
+            AccountingError, match=f"^machine {machine.name}: run ended with {record} still in flight$"
+        ):
+            simulation.finish(result.requests, tiny_trace.name, result.duration_s)
+
+    def test_finish_lists_every_record_a_machine_holds(self, small_splitwise_design, tiny_trace):
+        simulation = ClusterSimulation(small_splitwise_design)
+        result = simulation.run(tiny_trace)
+        first, second = simulation.machines[:2]
+        first._rot_forest = first._rot_selection = object()
+        second._running_plan = object()
+        # The first machine in roster order is named, with both of its records.
+        with pytest.raises(
+            AccountingError, match=f"machine {first.name}: .*_rot_forest, _rot_selection still"
+        ):
+            simulation.finish(result.requests, tiny_trace.name, result.duration_s)

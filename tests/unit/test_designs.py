@@ -87,17 +87,6 @@ class TestValidationAndDerivation:
                 split=False,
             )
 
-    def test_resized_preserves_types(self):
-        resized = splitwise_ha(2, 2).resized(4, 6)
-        assert resized.num_prompt == 4
-        assert resized.num_token == 6
-        assert resized.prompt_machine is DGX_H100
-
-    def test_resized_baseline_defaults_token_to_zero(self):
-        resized = baseline_a100(4).resized(8)
-        assert resized.num_machines == 8
-        assert not resized.split
-
 
 class TestFamilyRegistry:
     @pytest.mark.parametrize("name", [

@@ -10,7 +10,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlanConfig,
     FaultTopology,
-    INJECTION_KINDS,
     Injection,
     compile_fault_plan,
     get_chaos_preset,
@@ -51,15 +50,6 @@ class TestInjection:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="time"):
             Injection(time_s=-1.0, kind="machine-fail", target="m")
-
-    def test_machine_scoped_kinds(self):
-        machine_scoped = {
-            kind for kind in INJECTION_KINDS
-            if Injection(time_s=0.0, kind=kind, target="t").is_machine_scoped
-        }
-        assert machine_scoped == {
-            "machine-fail", "machine-recover", "straggler-start", "straggler-end"
-        }
 
 
 class TestFaultPlanConfig:

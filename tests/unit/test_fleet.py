@@ -13,7 +13,9 @@ from repro.fleet import (
     FleetSimulation,
     ROUTER_POLICIES,
 )
-from repro.workload.generator import generate_trace
+from repro.workload.arrival import PoissonArrivalProcess
+from repro.workload.distributions import get_workload
+from repro.workload.generator import TraceGenerator, generate_trace
 from repro.workload.scenarios import get_scenario, mix_traces
 from repro.workload.trace import RequestDescriptor, Trace
 
@@ -24,6 +26,12 @@ def _small_fleet(num_clusters=2, **kwargs):
 
 def _quick_trace(rate=4.0, duration=20.0, seed=0):
     return generate_trace("conversation", rate_rps=rate, duration_s=duration, seed=seed)
+
+
+def _tenant_trace(workload, rate, duration, seed, tenant):
+    """A Poisson trace whose every request belongs to ``tenant``."""
+    arrivals = PoissonArrivalProcess(rate)
+    return TraceGenerator(get_workload(workload), arrivals, seed=seed, tenant=tenant).generate(duration)
 
 
 class TestFleetRouter:
@@ -49,8 +57,8 @@ class TestFleetRouter:
 
     def test_tenant_pin_confines_a_tenant(self):
         trace = mix_traces(
-            generate_trace("conversation", rate_rps=2.0, duration_s=15.0, seed=1).with_tenant("a"),
-            generate_trace("coding", rate_rps=2.0, duration_s=15.0, seed=2).with_tenant("b"),
+            _tenant_trace("conversation", 2.0, 15.0, seed=1, tenant="a"),
+            _tenant_trace("coding", 2.0, 15.0, seed=2, tenant="b"),
         )
         router = FleetRouter("least-outstanding", tenant_pins={"b": "cluster-1"})
         fleet = _small_fleet(router=router)
@@ -106,9 +114,56 @@ class TestFleetSimulation:
         with pytest.raises(ValueError, match="provisioner"):
             _small_fleet(burst_clusters=1)
 
+    def test_member_clusters_take_no_autoscaler(self):
+        # The fleet could not stop a member's autoscaler ticks, so the run
+        # would never drain: the constructor refuses it up front.
+        from repro.core.autoscaler import AutoscalerConfig
+
+        with pytest.raises(ValueError, match="autoscaler"):
+            _small_fleet(autoscaler=AutoscalerConfig())
+
+    def test_cluster_kwargs_reach_every_member(self):
+        fleet = _small_fleet(num_clusters=3, fast_forward=False, prompt_queue_threshold=123)
+        assert all(not m.fast_forward_enabled for c in fleet.clusters for m in c.simulation.machines)
+        assert [c.simulation.scheduler.prompt_queue_threshold for c in fleet.clusters] == [123] * 3
+
+    def test_run_drains_every_cluster(self):
+        trace = _quick_trace()
+        fleet = _small_fleet()
+        result = fleet.run(trace)
+        assert fleet.engine.pending_events == 0
+        assert result.completion_rate == 1.0
+        last_completion = max(r.completion_time for r in result.requests)
+        assert result.duration_s == max(last_completion, trace.duration_s)
+        assert all(r.duration_s == result.duration_s for r in result.cluster_results.values())
+
+    def test_static_fleet_pays_every_cluster_all_window(self):
+        fleet = _small_fleet(num_clusters=3)
+        result = fleet.run(_quick_trace())
+        hourly = splitwise_hh(1, 1).cost_per_hour
+        assert result.cost() == pytest.approx(3 * hourly * result.duration_s / 3600.0)
+
+    def test_tenant_report_rolls_up_the_whole_fleet(self):
+        from repro.hardware.machine import DGX_A100
+        from repro.metrics.slo import evaluate_slo
+        from repro.models.performance import AnalyticalPerformanceModel
+
+        trace = mix_traces(
+            _tenant_trace("coding", 2.0, 20.0, seed=1, tenant="code"),
+            _tenant_trace("conversation", 2.0, 20.0, seed=2, tenant="chat"),
+        )
+        result = _small_fleet().run(trace)
+        report = result.tenant_slo_report()
+        reference = AnalyticalPerformanceModel(result.model, DGX_A100)
+        assert sorted(report.tenants) == ["chat", "code"]
+        assert report.fleet.slowdowns == evaluate_slo(result.requests, reference).slowdowns
+        for tenant, tenant_report in report.tenants.items():
+            group = [r for r in result.requests if r.tenant == tenant]
+            assert tenant_report.slowdowns == evaluate_slo(group, reference).slowdowns
+
     def test_machine_names_are_cluster_prefixed(self):
         fleet = _small_fleet()
-        names = [m.name for m in fleet.machines]
+        names = [m.name for cluster in fleet.clusters for m in cluster.simulation.machines]
         assert "cluster-0/prompt-0" in names and "cluster-1/token-0" in names
         assert len(set(names)) == len(names)
 
@@ -139,7 +194,7 @@ class TestFleetSimulation:
         result = fleet.run(_quick_trace())
         expected = result.total_machines * result.duration_s / 3600.0
         assert result.machine_hours() == pytest.approx(expected)
-        assert result.machine_hours_saved() == pytest.approx(0.0)
+        assert result.static_machine_hours() - result.machine_hours() == pytest.approx(0.0)
 
     def test_per_cluster_results_carry_only_their_requests(self):
         fleet = _small_fleet()
@@ -222,11 +277,12 @@ class TestFleetProvisioner:
         # Tenant "b" is pinned to cluster-1, which sits idle until b's
         # traffic starts late in the run: the provisioner must not drain it
         # in the meantime (a pinned tenant has nowhere else to go).
-        from repro.workload.scenarios import splice_traces
+        from dataclasses import replace
 
-        early = generate_trace("conversation", rate_rps=3.0, duration_s=60.0, seed=1).with_tenant("a")
-        late = generate_trace("coding", rate_rps=2.0, duration_s=20.0, seed=2).with_tenant("b")
-        trace = splice_traces(early, late, at_s=40.0)
+        early = _tenant_trace("conversation", 3.0, 60.0, seed=1, tenant="a")
+        late = _tenant_trace("coding", 2.0, 20.0, seed=2, tenant="b")
+        shifted = tuple(replace(r, arrival_time_s=r.arrival_time_s + 40.0) for r in late)
+        trace = mix_traces(early, Trace(requests=shifted, name="late"))
         router = FleetRouter("least-outstanding", tenant_pins={"a": "cluster-0", "b": "cluster-1"})
         fleet = _small_fleet(
             router=router,
@@ -238,66 +294,19 @@ class TestFleetProvisioner:
         assert "cluster-1" not in drained and "cluster-0" not in drained
 
     def test_empty_trace_with_stacked_controllers_terminates(self):
-        from repro.core.autoscaler import AutoscalerConfig
+        # The provisioner and the metrics ticker both tick; neither sees a
+        # completion that would stop the other.
+        from repro.obs import ObservabilityConfig
 
         fleet = FleetSimulation(
             splitwise_hh(1, 1),
             num_clusters=2,
             provisioner=FleetProvisionerConfig(),
-            autoscaler=AutoscalerConfig(),
         )
+        fleet.observe(ObservabilityConfig())
         result = fleet.run(Trace(requests=(), name="empty"))
         assert result.requests == []
         assert result.completion_rate == 0.0
-
-    def test_standby_autoscaler_parking_does_not_discount_billing(self):
-        # A warm standby receives no traffic; its own pool autoscaler parks
-        # idle machines, but those machines were never fully billed — the
-        # fleet total must not subtract them (double discount).
-        from repro.core.autoscaler import AutoscalerConfig
-
-        config = FleetProvisionerConfig(warm_billing_fraction=0.0)
-        fleet = FleetSimulation(
-            splitwise_hh(2, 2),
-            num_clusters=1,
-            burst_clusters=1,
-            provisioner=config,
-            autoscaler=AutoscalerConfig(interval_s=2.0, hysteresis_ticks=1, cooldown_s=2.0),
-        )
-        result = fleet.run(_quick_trace(rate=1.0, duration=30.0))
-        assert result.clusters[1].state is ClusterState.WARM
-        standby_saved = result.cluster_results["cluster-1"].autoscaler.machine_hours_saved()
-        billed = result.provisioner.billed_machine_hours()
-        # cluster-0 is ACTIVE (fully billed) for the whole window, so all of
-        # its parking overlaps billed time and discounts in full.
-        active_saved = result.cluster_results["cluster-0"].autoscaler.machine_hours_saved()
-        # The scenario must actually exercise the bug: the standby's own
-        # autoscaler parked machines the provisioner never billed.
-        assert standby_saved > 0
-        # Only the active cluster's parking may discount the bill.
-        assert result.machine_hours() == pytest.approx(billed - active_saved)
-        assert result.machine_hours() > billed - active_saved - standby_saved
-
-    def test_parked_machine_that_fails_is_credited_at_its_own_rate(self):
-        # prompt-0 is parked from t=6 s on; failing it at t=20 s closes its
-        # park interval, and the credit still needs the failed machine's rate.
-        from repro.core.autoscaler import AutoscalerConfig
-
-        fleet = FleetSimulation(
-            splitwise_hh(2, 2),
-            num_clusters=1,
-            autoscaler=AutoscalerConfig(interval_s=2.0, hysteresis_ticks=1, cooldown_s=2.0),
-        )
-        result = fleet.run(_quick_trace(rate=1.0, duration=30.0), failures=[(20.0, "cluster-0/prompt-0")])
-        assert result.completion_rate == 1.0
-        cluster = result.cluster_results["cluster-0"]
-        prompt_0 = cluster.scheduler.find_machine("cluster-0/prompt-0")
-        assert list(cluster.scheduler.failed_machines) == [prompt_0]
-        assert cluster.autoscaler.park_intervals() == [
-            ("cluster-0/prompt-0", 2.0, 4.0), ("cluster-0/prompt-0", 6.0, 20.0),
-        ]
-        credit = prompt_0.spec.cost_per_hour * 16.0 / 3600.0
-        assert result.cost() == pytest.approx(result.static_cost() - credit)
 
     def test_retired_cluster_is_re_rentable_as_cold_capacity(self):
         # Drain-then-retire must not permanently shrink the fleet: once
@@ -315,15 +324,6 @@ class TestFleetProvisioner:
         assert provisioner._scale_up(reason="test pressure")
         assert retired.state is ClusterState.STARTING
         assert provisioner.timeline[-1].action == "burst-cold"
-
-    def test_park_savings_only_discount_fully_billed_windows(self):
-        from repro.fleet.fleet import _overlap_seconds
-
-        # [10, 30) parked, billed windows [0, 15) and [25, 40): only 10s of
-        # the park interval overlaps billed time.
-        assert _overlap_seconds(10.0, 30.0, [(0.0, 15.0), (25.0, 40.0)]) == pytest.approx(10.0)
-        assert _overlap_seconds(10.0, 30.0, []) == 0.0
-        assert _overlap_seconds(10.0, 30.0, [(30.0, 50.0)]) == 0.0
 
     def test_billing_fractions_applied_per_state(self):
         config = FleetProvisionerConfig(warm_billing_fraction=0.0)
@@ -353,19 +353,13 @@ class TestTenantThreading:
         second = Trace(
             requests=(RequestDescriptor(0, 0.5, 20, 8, tenant="b"),), name="b"
         )
-        from repro.workload.scenarios import concat_traces, splice_traces
-
-        for composed in (
-            mix_traces(first, second),
-            concat_traces(first, second),
-            splice_traces(first, second, at_s=0.25),
-        ):
-            assert sorted({r.tenant for r in composed}) == ["a", "b"]
-            # ids renumbered, tenants intact
-            assert [r.request_id for r in composed] == list(range(len(composed)))
+        composed = mix_traces(first, second)
+        assert sorted({r.tenant for r in composed}) == ["a", "b"]
+        # ids renumbered, tenants intact
+        assert [r.request_id for r in composed] == list(range(len(composed)))
 
     def test_trace_csv_round_trip_keeps_tenants(self, tmp_path):
-        trace = _quick_trace(duration=5.0).with_tenant("gold")
+        trace = _tenant_trace("conversation", 4.0, 5.0, seed=0, tenant="gold")
         csv_back = Trace.from_csv(trace.to_csv(tmp_path / "t.csv"))
         assert csv_back.tenants() == ("gold",)
 
@@ -378,6 +372,6 @@ class TestTenantThreading:
         assert trace.tenants() == ("default",)
 
     def test_scaling_and_truncation_keep_tenants(self):
-        trace = _quick_trace(duration=10.0).with_tenant("gold")
+        trace = _tenant_trace("conversation", 4.0, 10.0, seed=0, tenant="gold")
         assert trace.scaled_to_rate(8.0).tenants() == ("gold",)
         assert trace.truncated(5.0).tenants() == ("gold",)

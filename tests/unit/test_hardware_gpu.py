@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.hardware.gpu import GPU_A100, GPU_H100, GpuSpec, get_gpu, power_capped, registered_gpus
+from repro.hardware.gpu import GPU_A100, GPU_H100, GpuSpec, power_capped
 
 
 class TestGpuSpecValidation:
@@ -66,29 +66,17 @@ class TestTable1Values:
 
     def test_memory_to_compute_ratio_favours_a100(self):
         # Insight VII builds on the A100 having more bandwidth per FLOP.
-        assert GPU_A100.memory_to_compute_ratio > GPU_H100.memory_to_compute_ratio
-
-
-class TestRegistry:
-    def test_lookup_is_case_insensitive(self):
-        assert get_gpu("a100") is GPU_A100
-        assert get_gpu("H100") is GPU_H100
-
-    def test_unknown_gpu_raises_keyerror(self):
-        with pytest.raises(KeyError, match="Unknown GPU"):
-            get_gpu("V100")
-
-    def test_registry_returns_copy(self):
-        registry = registered_gpus()
-        registry["FAKE"] = GPU_A100
-        assert "FAKE" not in registered_gpus()
+        assert (
+            GPU_A100.hbm_bandwidth_gbps / GPU_A100.fp16_tflops
+            > GPU_H100.hbm_bandwidth_gbps / GPU_H100.fp16_tflops
+        )
 
 
 class TestPowerCapping:
     def test_cap_halves_power_budget(self):
         capped = power_capped(GPU_H100, 0.5)
         assert capped.power_cap_watts == pytest.approx(350.0)
-        assert capped.is_power_capped
+        assert capped.power_cap_watts < capped.tdp_watts
         assert capped.power_cap_fraction == pytest.approx(0.5)
 
     def test_cap_preserves_other_capabilities(self):
@@ -100,7 +88,7 @@ class TestPowerCapping:
     def test_cap_of_one_keeps_name_and_is_uncapped(self):
         same = power_capped(GPU_A100, 1.0)
         assert same.name == "A100"
-        assert not same.is_power_capped
+        assert same.power_cap_watts == same.tdp_watts
 
     def test_capped_name_encodes_fraction(self):
         assert power_capped(GPU_H100, 0.5).name == "H100-cap50"
@@ -112,7 +100,7 @@ class TestPowerCapping:
 
     def test_uncapped_gpu_reports_full_fraction(self):
         assert GPU_A100.power_cap_fraction == 1.0
-        assert not GPU_A100.is_power_capped
+        assert GPU_A100.power_cap_watts == GPU_A100.tdp_watts
 
 
 def test_custom_gpu_spec_roundtrip():
@@ -127,5 +115,4 @@ def test_custom_gpu_spec_roundtrip():
         infiniband_gbps=200.0,
         cost_per_hour=20.0,
     )
-    assert custom.memory_to_compute_ratio == pytest.approx(3276.0 / 45.0)
-    assert not custom.is_power_capped
+    assert custom.power_cap_fraction == 1.0

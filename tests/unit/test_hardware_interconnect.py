@@ -8,7 +8,6 @@ from repro.hardware.interconnect import (
     INFINIBAND_200,
     INFINIBAND_400,
     InterconnectSpec,
-    Link,
     infiniband_for,
 )
 
@@ -48,12 +47,6 @@ class TestInterconnectSpec:
         t200 = INFINIBAND_200.transfer_time(payload) - INFINIBAND_200.latency_s
         t400 = INFINIBAND_400.transfer_time(payload) - INFINIBAND_400.latency_s
         assert t200 / t400 == pytest.approx(2.0, rel=1e-6)
-
-
-class TestLink:
-    def test_link_delegates_to_spec(self):
-        link = Link(source="prompt-0", destination="token-0", spec=INFINIBAND_400)
-        assert link.transfer_time(1e8) == pytest.approx(INFINIBAND_400.transfer_time(1e8))
 
 
 class TestInfinibandFor:

@@ -43,7 +43,7 @@ class TestQueueAccounting:
         machine.enqueue_prompt(_request(0, prompt=300))
         machine.enqueue_prompt(_request(1, prompt=200))
         assert machine.pending_prompt_tokens == 500
-        assert machine.pending_prompt_count == 2
+        assert len(machine.pending_prompts) == 2
         assert machine.has_prompt_work()
 
     def test_expected_transfers_count_toward_decode_queue(self, machine):
@@ -312,6 +312,87 @@ class TestIterationExecution:
         plain_busy = plain.metrics.machine_stats("a").busy_time_s
         transfer_busy = with_transfer.metrics.machine_stats("b").busy_time_s
         assert transfer_busy > plain_busy
+
+
+class TestIterationLatency:
+    """An iteration lasts prompt latency x KV-transfer interference + token latency."""
+
+    @staticmethod
+    def _one_iteration(engine, machine):
+        engine.step()  # the start event puts one iteration in flight
+        plan = machine._running_plan
+        started = engine.now
+        engine.step()  # its finish event
+        return plan, engine.now - started
+
+    @staticmethod
+    def _decoding(request_id, prompt, output):
+        request = _request(request_id, prompt=prompt, output=output)
+        request.start_prompt(0.0, "p")
+        request.finish_prompt(0.0)
+        return request
+
+    def _prompt_machine(self, engine):
+        from repro.core.kv_transfer import KVTransferModel
+        from repro.hardware.interconnect import INFINIBAND_400
+
+        machine = SimulatedMachine(
+            "p0",
+            DGX_H100,
+            LLAMA2_70B,
+            engine,
+            role=MachineRole.PROMPT,
+            kv_transfer=KVTransferModel(model=LLAMA2_70B, link=INFINIBAND_400),
+        )
+        machine.on_prompt_complete = lambda req, m, lat: None
+        return machine
+
+    def test_mixed_batch_adds_prompt_and_token_latency(self, engine, machine):
+        machine.on_prompt_complete = lambda req, m, lat: None
+        for i in range(3):
+            machine.admit_token_request(self._decoding(i, prompt=700 + 100 * i, output=8))
+        machine.enqueue_prompt(_request(9, prompt=900, output=4))
+        plan, duration = self._one_iteration(engine, machine)
+        assert plan.prompt_requests and len(plan.token_requests) == 3
+        performance = machine.performance
+        assert duration == performance.prompt_latency(900) + performance.token_latency(3, plan.context_tokens)
+
+    def test_token_only_iteration_is_the_token_latency(self, engine):
+        machine = SimulatedMachine(
+            "t0", DGX_H100, LLAMA2_70B, engine, role=MachineRole.TOKEN, fast_forward=False
+        )
+        for i in range(4):
+            machine.admit_token_request(self._decoding(i, prompt=256 * (i + 1), output=6))
+        plan, duration = self._one_iteration(engine, machine)
+        assert not plan.prompt_requests and plan.context_tokens == 256 * 10 + 4
+        assert duration == machine.performance.token_latency(4, plan.context_tokens)
+
+    def test_per_layer_prompt_is_slowed_by_the_interference(self, engine):
+        machine = self._prompt_machine(engine)
+        threshold = machine.kv_transfer.serialized_threshold_tokens
+        machine.enqueue_prompt(_request(0, prompt=threshold, output=2))
+        _, duration = self._one_iteration(engine, machine)
+        factor = 1.0 + machine.kv_transfer.per_layer_interference
+        assert factor > 1.0
+        assert duration == machine.performance.prompt_latency(threshold) * factor
+
+    def test_serialized_prompt_runs_at_the_prompt_latency(self, engine):
+        machine = self._prompt_machine(engine)
+        prompt = machine.kv_transfer.serialized_threshold_tokens - 1
+        machine.enqueue_prompt(_request(0, prompt=prompt, output=2))
+        _, duration = self._one_iteration(engine, machine)
+        assert duration == machine.performance.prompt_latency(prompt)
+
+    def test_batch_interference_is_its_worst_prompt(self, engine):
+        machine = self._prompt_machine(engine)
+        threshold = machine.kv_transfer.serialized_threshold_tokens
+        small, large = 64, max(threshold, 1024)
+        machine.enqueue_prompt(_request(0, prompt=small, output=2))
+        machine.enqueue_prompt(_request(1, prompt=large, output=2))
+        plan, duration = self._one_iteration(engine, machine)
+        assert len(plan.prompt_requests) == 2
+        factor = 1.0 + machine.kv_transfer.per_layer_interference
+        assert duration == machine.performance.prompt_latency(small + large) * factor
 
 
 def _decode_pool_machine(engine, outputs, fast_forward=True, max_batch_size=64):

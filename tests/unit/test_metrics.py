@@ -5,24 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.cluster import ClusterSimulation, simulate_design
+from repro.core.cluster import simulate_design
 from repro.hardware.machine import DGX_A100
 from repro.metrics.collectors import BatchOccupancyTracker, MetricsCollector, census
-from repro.metrics.slo import DEFAULT_SLO, SloPolicy, evaluate_slo
-from repro.metrics.summary import LatencySummary, percentile, summarize_requests
+from repro.metrics.slo import DEFAULT_SLO, SloPolicy, SloReport, evaluate_slo
+from repro.metrics.summary import LatencySummary, summarize_requests
 from repro.models.llm import LLAMA2_70B
 from repro.models.performance import AnalyticalPerformanceModel
-
-
-class TestPercentile:
-    def test_median_of_known_sequence(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == 3
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-        with pytest.raises(ValueError):
-            percentile([], 50)
 
 
 class TestLatencySummary:
@@ -54,7 +43,6 @@ class TestSummarizeRequests:
         metrics = summarize_requests([done, pending], duration_s=10.0)
         assert metrics.completed == 1
         assert metrics.total == 2
-        assert metrics.completion_rate == 0.5
         assert metrics.ttft.p50 == pytest.approx(0.1)
         assert metrics.tbt.p50 == pytest.approx(0.05)
         assert metrics.throughput_rps == pytest.approx(0.1)
@@ -113,10 +101,14 @@ class TestCensus:
             "submitted": 4, "completed": 4, "shed": 0, "expired": 0, "degraded": 0,
         }
 
-    def test_horizon_cut_run_with_requests_in_flight_raises(self, small_splitwise_design, small_trace):
-        result = ClusterSimulation(small_splitwise_design).run(small_trace, horizon_s=5.0)
+    def test_request_in_flight_raises(self, make_request):
+        # Neither completed, shed nor expired: no terminal outcome.
+        done = make_request(request_id=0)
+        done.complete(1.0)
+        in_flight = make_request(request_id=1)
+        in_flight.start_prompt(0.0, "m")
         with pytest.raises(ValueError, match="census does not close"):
-            census(result.requests)
+            census([done, in_flight])
 
     def test_request_both_completed_and_shed_raises(self, make_request):
         request = make_request()
@@ -147,14 +139,7 @@ class TestMetricsCollector:
         assert stats.prompt_tokens_processed == 100
         assert stats.tokens_generated == 4
         assert collector.total_energy_wh() == pytest.approx(0.8)
-        assert collector.machines() == ["m0", "m1"]
-
-    def test_utilization(self):
-        collector = MetricsCollector()
-        collector.machine_stats("m0").add_iteration(5.0, 1, 0.0, 0, 0)
-        assert collector.machine_stats("m0").utilization(10.0) == pytest.approx(0.5)
-        assert collector.mean_utilization(10.0) == pytest.approx(0.5)
-        assert collector.mean_utilization(10.0, ["m0", "missing"]) == pytest.approx(0.25)
+        assert list(collector.export_machine_stats()) == ["m0", "m1"]
 
     def test_group_occupancy_merges(self):
         collector = MetricsCollector()
@@ -162,13 +147,6 @@ class TestMetricsCollector:
         collector.machine_stats("b").add_iteration(1.0, 100, 0.0, 0, 0)
         merged = collector.group_occupancy(["a", "b"])
         assert merged.fraction_at_or_below(1) == pytest.approx(0.5)
-
-    def test_as_dict(self):
-        collector = MetricsCollector()
-        collector.machine_stats("m0").add_iteration(1.0, 1, 1.0, 0, 0)
-        report = collector.as_dict(horizon_s=2.0)
-        assert report["m0"]["utilization"] == pytest.approx(0.5)
-        assert report["m0"]["energy_wh"] == pytest.approx(1.0)
 
 
 class TestSlo:
@@ -262,6 +240,41 @@ class TestSlo:
             requests.append(request)
         per_token = evaluate_slo(requests, reference)
         assert ("tbt", 99.0) in per_token.violations()
+
+
+class TestSloReportVerdicts:
+    """SloReport's verdict helpers on hand-built slowdowns."""
+
+    LIMITS = {("ttft", 50.0): 2.0, ("ttft", 99.0): 6.0, ("tbt", 50.0): 1.25, ("e2e", 90.0): 1.5}
+
+    def _report(self, slowdowns):
+        """Every limit's slowdown at 1.0, except those given."""
+        return SloReport(slowdowns={**dict.fromkeys(self.LIMITS, 1.0), **slowdowns}, limits=self.LIMITS)
+
+    def test_worst_margin_is_the_largest_ratio_to_its_limit(self):
+        report = self._report({("ttft", 99.0): 4.5, ("tbt", 50.0): 1.5})
+        # 4.5 / 6 = 0.75 loses to 1.5 / 1.25 = 1.2.
+        assert report.worst_margin() == 1.5 / 1.25
+        assert not report.satisfied
+        assert report.violations() == {("tbt", 50.0): 1.5}
+
+    def test_slowdown_at_its_limit_passes(self):
+        report = self._report({("ttft", 50.0): 2.0, ("e2e", 90.0): 1.5})
+        assert report.satisfied
+        assert report.worst_margin() == 1.0
+        assert report.violations() == {}
+
+    def test_nan_metric_is_missing_and_violated(self):
+        report = self._report({("e2e", 90.0): float("nan")})
+        assert report.missing_series() == ["e2e"]
+        assert list(report.violations()) == [("e2e", 90.0)]
+        assert np.isnan(report.worst_margin())
+        assert not report.satisfied
+
+    def test_custom_policy_flattens_every_percentile(self):
+        policy = SloPolicy(ttft={50: 3}, tbt={90: 2.0, 99: 4}, e2e={})
+        assert policy.limits() == {("ttft", 50.0): 3.0, ("tbt", 90.0): 2.0, ("tbt", 99.0): 4.0}
+        assert all(type(v) is float for v in policy.limits().values())
 
 
 class TestCoalescedRecording:

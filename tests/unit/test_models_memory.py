@@ -6,7 +6,7 @@ import pytest
 
 from repro.hardware.machine import DGX_A100, DGX_H100
 from repro.models.llm import BLOOM_176B, LLAMA2_70B, ModelSpec
-from repro.models.memory import GB, MemoryModel, MemoryUsage
+from repro.models.memory import DEFAULT_ACTIVATION_RESERVE_BYTES, GB, MemoryModel, MemoryUsage
 
 
 class TestMemoryUsage:
@@ -19,7 +19,6 @@ class TestMemoryUsage:
 class TestMemoryModel:
     def test_bloom_fits_on_dgx(self):
         model = MemoryModel(BLOOM_176B, DGX_H100)
-        assert model.kv_budget_bytes > 0
         assert model.max_kv_tokens > 0
 
     def test_model_too_large_raises(self):
@@ -40,22 +39,6 @@ class TestMemoryModel:
         memory = MemoryModel(LLAMA2_70B, DGX_H100)
         with pytest.raises(ValueError, match="cached_tokens"):
             memory.usage(-5)
-
-    def test_fits_matches_max_kv_tokens(self):
-        memory = MemoryModel(BLOOM_176B, DGX_H100)
-        assert memory.fits(memory.max_kv_tokens)
-        assert not memory.fits(memory.max_kv_tokens + 1)
-
-    def test_remaining_tokens_decreases_with_usage(self):
-        memory = MemoryModel(BLOOM_176B, DGX_H100)
-        free_at_zero = memory.remaining_tokens(0)
-        free_at_10k = memory.remaining_tokens(10_000)
-        assert free_at_zero == memory.max_kv_tokens
-        assert free_at_zero - free_at_10k == pytest.approx(10_000, abs=1)
-
-    def test_remaining_tokens_never_negative(self):
-        memory = MemoryModel(BLOOM_176B, DGX_H100)
-        assert memory.remaining_tokens(memory.max_kv_tokens * 2) == 0
 
     def test_bloom_runs_out_of_memory_around_batch_64(self):
         """Insight V / Fig. 6b: a DGX runs out of memory near 64 batched
@@ -79,4 +62,5 @@ class TestMemoryModel:
 
     def test_capacity_reflects_usable_fraction(self):
         memory = MemoryModel(LLAMA2_70B, DGX_H100, usable_fraction=0.5)
-        assert memory.capacity_bytes == pytest.approx(640 * GB * 0.5)
+        budget = 640 * GB * 0.5 - LLAMA2_70B.weight_bytes - DEFAULT_ACTIVATION_RESERVE_BYTES
+        assert memory.max_kv_tokens == int(budget // LLAMA2_70B.kv_bytes_per_token)

@@ -7,28 +7,7 @@ import pytest
 from repro.hardware.machine import DGX_H100, DGX_H100_CAPPED, MachineSpec
 from repro.hardware.gpu import GPU_H100
 from repro.models.llm import BLOOM_176B, LLAMA2_70B, ModelSpec
-from repro.models.performance import AnalyticalPerformanceModel, BatchSpec
-
-
-class TestBatchSpec:
-    def test_rejects_negative_fields(self):
-        with pytest.raises(ValueError):
-            BatchSpec(prompt_tokens=-1)
-        with pytest.raises(ValueError):
-            BatchSpec(token_requests=-1)
-
-    def test_context_without_tokens_rejected(self):
-        with pytest.raises(ValueError, match="context_tokens"):
-            BatchSpec(context_tokens=10)
-
-    def test_active_tokens_definition(self):
-        spec = BatchSpec(prompt_tokens=100, token_requests=5, context_tokens=5000)
-        assert spec.active_tokens == 105
-        assert spec.is_mixed
-        assert not spec.is_empty
-
-    def test_empty_batch(self):
-        assert BatchSpec().is_empty
+from repro.models.performance import AnalyticalPerformanceModel
 
 
 class TestCalibrationAnchors:
@@ -90,26 +69,21 @@ class TestThroughputShapes:
 
 
 class TestLatencyComposition:
-    def test_iteration_latency_is_additive_for_mixed_batches(self, llama_h100_perf):
-        spec = BatchSpec(prompt_tokens=1024, token_requests=8, context_tokens=8192)
-        combined = llama_h100_perf.iteration_latency(spec)
-        parts = llama_h100_perf.prompt_latency(1024) + llama_h100_perf.token_latency(8, 8192)
-        assert combined == pytest.approx(parts)
-
     def test_empty_iteration_takes_no_time(self, llama_h100_perf):
-        assert llama_h100_perf.iteration_latency(BatchSpec()) == 0.0
         assert llama_h100_perf.prompt_latency(0) == 0.0
         assert llama_h100_perf.token_latency(0) == 0.0
 
     def test_e2e_latency_grows_with_output_tokens(self, llama_h100_perf):
-        assert llama_h100_perf.e2e_latency(1000, 50) > llama_h100_perf.e2e_latency(1000, 10)
+        _, _, e2e = llama_h100_perf.unbatched_latencies([1000, 1000], [50, 10])
+        assert e2e[0] > e2e[1]
 
     def test_e2e_latency_of_single_token_is_ttft(self, llama_h100_perf):
-        assert llama_h100_perf.e2e_latency(1000, 1) == pytest.approx(llama_h100_perf.ttft(1000))
+        _, _, e2e = llama_h100_perf.unbatched_latencies([1000], [1])
+        assert e2e[0] == pytest.approx(llama_h100_perf.ttft(1000))
 
     def test_e2e_rejects_zero_output(self, llama_h100_perf):
         with pytest.raises(ValueError, match="output_tokens"):
-            llama_h100_perf.e2e_latency(100, 0)
+            llama_h100_perf.unbatched_latencies([100], [0])
 
     def test_negative_inputs_rejected(self, llama_h100_perf):
         with pytest.raises(ValueError):

@@ -108,9 +108,6 @@ class TestEnergy:
         with pytest.raises(ValueError):
             power_h100.token_energy_wh(1, -1.0)
 
-    def test_idle_power_positive_but_small(self, power_h100):
-        assert 0 < power_h100.idle_power_watts() < 0.2 * DGX_H100.gpu_tdp_watts
-
 
 class TestMemoizedPowerTables:
     def test_power_and_slowdown_caches_return_identical_values(self, power_h100):

@@ -215,7 +215,7 @@ class TestLifecycleSpans:
 
     def test_shed_requests_get_zero_length_root_spans(self):
         result, _fleet, plane = _storm_observed()
-        shed_ids = {r.request_id for r in result.shed_requests}
+        shed_ids = {r.request_id for r in result.requests if r.shed}
         if not shed_ids:  # pragma: no cover - storm preset always sheds
             pytest.skip("storm run shed nothing at this seed")
         roots = {

@@ -4,29 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.designs import baseline_h100, splitwise_hh
+from repro.core.designs import baseline_h100, splitwise_hh, splitwise_hhcap
 from repro.core.provisioning import (
+    CandidateEvaluation,
     OptimizationGoal,
     Provisioner,
-    ProvisioningConstraints,
     estimate_pool_sizes,
     find_max_throughput,
 )
+from repro.hardware.machine import DGX_A100
 
 
 @pytest.fixture(scope="module")
 def provisioner() -> Provisioner:
     """A fast provisioner: short traces, coding workload."""
     return Provisioner(workload="coding", trace_duration_s=20.0, seed=3)
-
-
-class TestConstraints:
-    def test_budget_checks(self):
-        constraints = ProvisioningConstraints(max_cost_per_hour=100.0, max_power_kw=50.0)
-        cheap = splitwise_hh(1, 1)
-        assert not constraints.within_budget(cheap) or cheap.cost_per_hour <= 100.0
-        unconstrained = ProvisioningConstraints()
-        assert unconstrained.within_budget(splitwise_hh(100, 100))
 
 
 class TestEvaluate:
@@ -71,7 +63,7 @@ class TestSizeForThroughput:
         )
         assert result.candidates
         assert result.best is not None
-        feasible_costs = [c.cost_per_hour for c in result.feasible_candidates]
+        feasible_costs = [c.cost_per_hour for c in result.candidates if c.feasible]
         assert result.best.cost_per_hour == min(feasible_costs)
 
     def test_power_goal_selects_lowest_power(self, provisioner):
@@ -83,7 +75,7 @@ class TestSizeForThroughput:
             goal=OptimizationGoal.POWER,
         )
         if result.best is not None:
-            feasible_power = [c.provisioned_power_kw for c in result.feasible_candidates]
+            feasible_power = [c.provisioned_power_kw for c in result.candidates if c.feasible]
             assert result.best.provisioned_power_kw == min(feasible_power)
 
     def test_baseline_family_ignores_token_counts(self, provisioner):
@@ -97,26 +89,121 @@ class TestSizeForThroughput:
             "Splitwise-HH", target_rps=80.0, prompt_counts=(1,), token_counts=(1,)
         )
         assert result.best is None
-        assert not result.feasible_candidates
+        assert not any(c.feasible for c in result.candidates)
 
 
-class TestBudgetSearch:
-    def test_budget_excludes_expensive_designs(self, provisioner):
-        result = provisioner.max_throughput_under_budget(
-            "Splitwise-HH",
-            rates=(1.0, 2.0),
-            prompt_counts=(1, 4),
-            token_counts=(1,),
-            max_cost_per_hour=splitwise_hh(2, 1).cost_per_hour,
+def _scripted(feasible_rates=(), feasible_sizes=None):
+    """A provisioner whose evaluate() answers from a script, recording every call.
+
+    A (design, rate) point is feasible when its rate is in ``feasible_rates``
+    or, with ``feasible_sizes`` given, when its ``(num_prompt, num_token)``
+    is listed.
+    """
+    provisioner = Provisioner(workload="coding", trace_duration_s=1.0)
+    provisioner.calls = []
+
+    def evaluate(design, rate_rps):
+        provisioner.calls.append((design.num_prompt, design.num_token, rate_rps))
+        feasible = rate_rps in feasible_rates
+        if feasible_sizes is not None:
+            feasible = (design.num_prompt, design.num_token) in feasible_sizes
+        return CandidateEvaluation(
+            design=design,
+            rate_rps=rate_rps,
+            feasible=feasible,
+            slo_report=None,
+            metrics=None,
+            completion_rate=1.0,
         )
-        assert all(c.design.cost_per_hour <= splitwise_hh(2, 1).cost_per_hour for c in result.candidates)
 
-    def test_best_candidate_maximizes_rate(self, provisioner):
-        result = provisioner.max_throughput_under_budget(
-            "Splitwise-HH", rates=(1.0, 2.0), prompt_counts=(2,), token_counts=(1,)
+    provisioner.evaluate = evaluate
+    return provisioner
+
+
+class TestRateScan:
+    """max_throughput's scan order and stopping rule, on scripted feasibility."""
+
+    def test_rates_are_scanned_in_ascending_order(self):
+        provisioner = _scripted(feasible_rates={1.0, 2.0, 3.0})
+        rate, evaluations = provisioner.max_throughput(splitwise_hh(2, 1), rates=(3.0, 1.0, 2.0))
+        assert rate == 3.0
+        assert [e.rate_rps for e in evaluations] == [1.0, 2.0, 3.0]
+
+    def test_scan_stops_at_the_first_infeasible_rate_above_a_feasible_one(self):
+        # 4.0 would pass too: the frontier is not monotone, the scan does not look.
+        provisioner = _scripted(feasible_rates={1.0, 2.0, 4.0})
+        rate, evaluations = provisioner.max_throughput(splitwise_hh(2, 1), rates=(1.0, 2.0, 3.0, 4.0, 5.0))
+        assert rate == 2.0
+        assert [e.rate_rps for e in evaluations] == [1.0, 2.0, 3.0]
+
+    def test_infeasible_low_rates_do_not_stop_the_scan(self):
+        provisioner = _scripted(feasible_rates={3.0})
+        rate, evaluations = provisioner.max_throughput(splitwise_hh(2, 1), rates=(1.0, 2.0, 3.0, 4.0))
+        assert rate == 3.0
+        assert [e.feasible for e in evaluations] == [False, False, True, False]
+
+    def test_reference_model_is_an_uncontended_dgx_a100(self):
+        provisioner = Provisioner(workload="conversation", trace_duration_s=1.0)
+        assert provisioner.reference_model.machine is DGX_A100
+        assert provisioner.reference_model.model is provisioner.model
+
+
+class TestCandidateGrid:
+    @pytest.mark.parametrize(
+        "family, num_prompt, num_token, machines",
+        [
+            ("Splitwise-HH", 2, 1, 3),
+            ("Splitwise-HH", 2, 0, None),
+            ("Splitwise-HH", 0, 2, None),
+            ("Splitwise-HH", 1, -1, None),
+            ("Baseline-H100", 2, 0, 2),
+            ("Baseline-A100", 2, 1, 3),
+        ],
+    )
+    def test_make_design_skips_empty_pools(self, family, num_prompt, num_token, machines):
+        design = Provisioner._make_design(family, num_prompt, num_token)
+        if machines is None:
+            assert design is None
+        else:
+            assert design.num_machines == machines
+            assert design.label.startswith(family)
+
+    def test_grid_evaluates_each_distinct_size_once_at_the_target(self):
+        provisioner = _scripted()
+        result = provisioner.size_for_throughput(
+            "Splitwise-HH", target_rps=5.0, prompt_counts=(2, 1, 2), token_counts=(0, 1, 2)
         )
-        if result.best is not None:
-            assert result.best.rate_rps == max(c.rate_rps for c in result.feasible_candidates)
+        # (n, 0) leaves the token pool empty and is never simulated.
+        assert provisioner.calls == [(1, 1, 5.0), (1, 2, 5.0), (2, 1, 5.0), (2, 2, 5.0)]
+        assert [(c.design.num_prompt, c.design.num_token) for c in result.candidates] == [
+            (1, 1), (1, 2), (2, 1), (2, 2)
+        ]
+        assert result.best is None
+
+
+class TestSelectBest:
+    def test_cost_goal_takes_the_cheapest_feasible(self):
+        provisioner = _scripted(feasible_sizes={(3, 2), (2, 2)})
+        result = provisioner.size_for_throughput(
+            "Splitwise-HH", target_rps=5.0, prompt_counts=(1, 2, 3), token_counts=(1, 2)
+        )
+        assert result.goal is OptimizationGoal.COST
+        assert (result.best.design.num_prompt, result.best.design.num_token) == (2, 2)
+        assert result.best.cost_per_hour == splitwise_hh(2, 2).cost_per_hour
+
+    def test_power_goal_takes_the_lowest_provisioned_power(self):
+        # Same machine count; HHcap's token machines draw less power than its prompt machines.
+        assert splitwise_hhcap(2, 2).provisioned_power_kw < splitwise_hhcap(3, 1).provisioned_power_kw
+        provisioner = _scripted(feasible_sizes={(2, 2), (3, 1)})
+        result = provisioner.size_for_throughput(
+            "Splitwise-HHcap",
+            target_rps=5.0,
+            prompt_counts=(2, 3),
+            token_counts=(1, 2),
+            goal=OptimizationGoal.POWER,
+        )
+        assert sum(c.feasible for c in result.candidates) == 2
+        assert (result.best.design.num_prompt, result.best.design.num_token) == (2, 2)
 
 
 class TestPoolSizeEstimation:

@@ -11,7 +11,9 @@ from repro.fleet import (
     FleetSimulation,
     ReliabilityConfig,
 )
-from repro.workload.generator import generate_trace
+from repro.workload.arrival import PoissonArrivalProcess
+from repro.workload.distributions import CODING_WORKLOAD, CONVERSATION_WORKLOAD
+from repro.workload.generator import TraceGenerator
 from repro.workload.scenarios import mix_traces
 
 
@@ -235,10 +237,10 @@ class TestAdmissionConfig:
 class TestAdmissionInFleet:
     def _overloaded_fleet_result(self, admission):
         trace = mix_traces(
-            generate_trace("coding", rate_rps=14.0, duration_s=30.0, seed=3).with_tenant("low"),
-            generate_trace("conversation", rate_rps=4.0, duration_s=30.0, seed=4).with_tenant(
-                "high"
-            ),
+            TraceGenerator(CODING_WORKLOAD, PoissonArrivalProcess(14.0), seed=3, tenant="low").generate(30.0),
+            TraceGenerator(
+                CONVERSATION_WORKLOAD, PoissonArrivalProcess(4.0), seed=4, tenant="high"
+            ).generate(30.0),
         )
         fleet = FleetSimulation(
             splitwise_hh(1, 1), num_clusters=2, admission=admission
@@ -259,7 +261,7 @@ class TestAdmissionInFleet:
         # Census conservation: every request either completed or was shed.
         assert len(result.completed_requests) + result.requests_shed == len(result.requests)
         # Shed requests never started.
-        for request in result.shed_requests:
+        for request in [r for r in result.requests if r.shed]:
             assert request.shed and request.prompt_start_time is None
 
     def test_goodput_reported_per_tenant(self):

@@ -22,7 +22,9 @@ from repro.fleet import (
 )
 from repro.metrics.collectors import census
 from repro.simulation.request import RequestPhase
-from repro.workload.generator import generate_trace
+from repro.workload.arrival import PoissonArrivalProcess
+from repro.workload.distributions import CODING_WORKLOAD, CONVERSATION_WORKLOAD
+from repro.workload.generator import TraceGenerator, generate_trace
 from repro.workload.scenarios import mix_traces
 from repro.workload.trace import RequestDescriptor, Trace
 
@@ -186,7 +188,7 @@ class TestRetriesInFleet:
         outcomes = census(result.requests, result.requests_shed, result.requests_expired)
         assert outcomes["expired"] > 0
         assert outcomes["completed"] + outcomes["expired"] == outcomes["submitted"]
-        for request in result.expired_requests:
+        for request in [r for r in result.requests if r.expired]:
             assert request.phase is RequestPhase.EXPIRED and not request.is_complete
 
     def test_no_stale_token_times_after_restart(self):
@@ -274,10 +276,10 @@ class TestDeadlinesInFleet:
 class TestDegradedService:
     def _overload(self, degraded):
         trace = mix_traces(
-            generate_trace("coding", rate_rps=14.0, duration_s=30.0, seed=3).with_tenant("low"),
-            generate_trace("conversation", rate_rps=4.0, duration_s=30.0, seed=4).with_tenant(
-                "high"
-            ),
+            TraceGenerator(CODING_WORKLOAD, PoissonArrivalProcess(14.0), seed=3, tenant="low").generate(30.0),
+            TraceGenerator(
+                CONVERSATION_WORKLOAD, PoissonArrivalProcess(4.0), seed=4, tenant="high"
+            ).generate(30.0),
         )
         fleet = _small_fleet(
             admission=AdmissionConfig(

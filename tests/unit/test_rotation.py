@@ -55,7 +55,6 @@ class TestRotationForest:
         rng = random.Random(1)
         pool = _ordered_pool(50, rng)
         forest = RotationForest.from_ordered_view(pool)
-        assert forest.total_size() == 50
         assert forest.flatten() == pool
 
     def test_selection_is_the_view_prefix(self):

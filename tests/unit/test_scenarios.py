@@ -11,10 +11,8 @@ from repro.workload.scenarios import (
     MarkovModulatedArrival,
     PiecewiseRateArrival,
     SinusoidalDiurnalArrival,
-    concat_traces,
     get_scenario,
     mix_traces,
-    splice_traces,
 )
 
 
@@ -105,14 +103,6 @@ class TestTraceComposition:
     def _trace(self, rate, seed, duration=10.0, workload="conversation"):
         return generate_trace(workload, rate_rps=rate, duration_s=duration, seed=seed)
 
-    def test_concat_shifts_and_renumbers(self):
-        first, second = self._trace(2.0, 0), self._trace(2.0, 1)
-        combined = concat_traces(first, second, gap_s=5.0)
-        assert len(combined) == len(first) + len(second)
-        assert [r.request_id for r in combined] == list(range(len(combined)))
-        later = combined.requests[len(first) :]
-        assert all(r.arrival_time_s >= first.duration_s + 5.0 for r in later)
-
     def test_mix_superposes_and_sorts(self):
         first, second = self._trace(2.0, 0), self._trace(3.0, 1)
         mixed = mix_traces(first, second)
@@ -120,14 +110,6 @@ class TestTraceComposition:
         arrivals = [r.arrival_time_s for r in mixed]
         assert arrivals == sorted(arrivals)
         assert len({r.request_id for r in mixed}) == len(mixed)
-
-    def test_splice_offsets_the_insert(self):
-        base, insert = self._trace(1.0, 0), self._trace(5.0, 1, duration=3.0)
-        spliced = splice_traces(base, insert, at_s=4.0)
-        assert len(spliced) == len(base) + len(insert)
-        window = [r for r in spliced if 4.0 <= r.arrival_time_s < 7.0]
-        assert len(window) >= len(insert)
-
 
 class TestScenarioPresets:
     def test_all_presets_build_deterministic_traces(self):

@@ -174,7 +174,6 @@ class TestScheduleRecurring:
         task.cancel()
         engine.run(until=10.0)
         assert times == [1.0, 2.0, 3.0]
-        assert task.cancelled
         assert task.fire_count == 3
 
     def test_first_delay_overrides_interval(self):
@@ -217,7 +216,7 @@ class TestRequestLifecycle:
         request = make_request(arrival=1.0, prompt=100, output=5)
         request.start_prompt(2.0, "prompt-0")
         assert request.phase is RequestPhase.PROMPT_RUNNING
-        assert request.queueing_delay == pytest.approx(1.0)
+        assert request.prompt_start_time - request.arrival_time == pytest.approx(1.0)
         request.finish_prompt(2.5)
         assert request.generated_tokens == 1
         assert request.ttft == pytest.approx(1.5)
@@ -254,16 +253,15 @@ class TestRequestLifecycle:
         request.finish_prompt(0.1)
         for t in (0.2, 0.35, 0.45):
             request.generate_token(t)
-        assert request.token_intervals == pytest.approx([0.1, 0.15, 0.1])
+        assert request.token_intervals_np.tolist() == pytest.approx([0.1, 0.15, 0.1])
         assert request.mean_tbt == pytest.approx(0.35 / 3)
-        assert request.max_tbt == pytest.approx(0.15)
 
     def test_tbt_none_for_single_token(self, make_request):
         request = make_request(output=1)
         request.start_prompt(0.0, "p0")
         request.finish_prompt(0.1)
         assert request.mean_tbt is None
-        assert request.max_tbt is None
+        assert request.token_intervals_np.size == 0
 
     def test_kv_transfer_transitions(self, make_request):
         request = make_request(prompt=100, output=5)
@@ -300,8 +298,7 @@ class TestTokenIntervals:
         )
         for time in (1.0, 1.1, 1.25, 1.35):
             request.token_times.append(time)
-        assert request.token_intervals == pytest.approx([0.1, 0.15, 0.1])
-        assert request.token_intervals == request.token_intervals_np.tolist()
+        assert request.token_intervals_np.tolist() == pytest.approx([0.1, 0.15, 0.1])
 
     def test_mean_tbt_adds_gaps_left_to_right(self):
         from repro.workload.trace import RequestDescriptor
@@ -311,7 +308,7 @@ class TestTokenIntervals:
         )
         for time in (0.656, 0.894, 1.89, 2.166, 2.225):
             request.token_times.append(time)
-        gaps = request.token_intervals
+        gaps = request.token_intervals_np.tolist()
         total = 0.0
         for gap in gaps:
             total += gap

@@ -120,9 +120,10 @@ class TestStepPathsRecordDirectly:
         probes = []
 
         def probe():
-            # A mid-run sync commits the run's boundary series up to now:
-            # each member holds the reference prefix that has elapsed.
-            machine.sync_fast_forward()
+            # Reading an observer that syncs commits the run's boundary
+            # series up to now: each member holds the reference prefix that
+            # has elapsed.
+            machine.pending_decode_tokens
             now = engine.now
             for request, expected in zip(requests, reference):
                 assert len(request.token_times) == request.generated_tokens
@@ -212,7 +213,6 @@ class TestRequestTokenTimes:
             request.generate_token(time)
         times = list(request.token_times)
         expected = [times[i] - times[i - 1] for i in range(1, len(times))]
-        assert request.token_intervals == expected
         assert isinstance(request.token_intervals_np, np.ndarray)
         assert request.token_intervals_np.tolist() == expected
 
