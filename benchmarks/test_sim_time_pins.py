@@ -1,19 +1,22 @@
-"""Bit-pins on the final simulated time of seven cluster and fleet scenarios.
+"""Bit-pins on the final simulated time of nine cluster and fleet scenarios.
 
 ``sim_time_s`` is a pure simulation output: it must be bit-identical on
 every host and across perf-only refactors, so any drift here means
 simulation *behavior* changed, not just speed.  The scenarios cover the
 short-burst saturation regime of the paper's robustness study (§VI-G) at
 4, 16 and 40 machines (12.5 requests/sec/machine, roughly 5x sustainable,
-so queues grow into the hundreds), a day-scale diurnal trace under the pool
-autoscaler, a mixed-tenant fleet behind the burst provisioner, and a
-5-cluster fleet run serially and sharded across 4 workers.
+so queues grow into the hundreds), two of the paper's conversation
+iso-power clusters at full size (the 70-machine Baseline-A100, the
+denominator of the headline ratios, and the 25+26-machine Splitwise-HA),
+a day-scale diurnal trace under the pool autoscaler, a mixed-tenant fleet
+behind the burst provisioner, and a 5-cluster fleet run serially and
+sharded across 4 workers.
 
 ``sim_time_s`` cannot see a drifted boost or token time, so each
 single-process scenario also pins a digest of its simulated state: the
-engine counters, the machines' summed coalescing counters, and sha256
-prefixes over every request's token times and outcome and over every
-cluster's machine stats and token-log boundaries.  A second digest pins the
+engine counters, the machines' summed coalescing counters, sha256 prefixes
+over every request's token times and outcome and over every cluster's
+machine stats, and the clusters' summed token-log boundaries.  A second digest pins the
 bits of what a run is judged by: every SLO slowdown with its sample counts
 (``slo_report()`` of a cluster run; ``tenant_slo_report()`` of a fleet run,
 per tenant and rolled up) and every ``request_metrics()`` field of a cluster
@@ -34,17 +37,17 @@ import hashlib
 import pytest
 
 from repro.core.cluster import ClusterSimulation
-from repro.core.designs import splitwise_hh
+from repro.core.designs import ClusterDesign, baseline_a100, splitwise_ha, splitwise_hh
 from repro.experiments.fleet_sweep import prepare_fleet_run
 from repro.experiments.scenarios import prepare_scenario_run
 from repro.workload.generator import generate_trace
 from repro.workload.scenarios import get_scenario
 
 
-def _burst(num_prompt: int, num_token: int, rate_rps: float, num_requests: int, seed: int):
-    """A Splitwise-HH cluster under a stationary conversation burst."""
+def _burst(design: ClusterDesign, rate_rps: float, num_requests: int, seed: int):
+    """A cluster of ``design`` under a stationary conversation load."""
     trace = generate_trace("conversation", rate_rps=rate_rps, duration_s=num_requests / rate_rps, seed=seed)
-    return ClusterSimulation(splitwise_hh(num_prompt, num_token)), trace, ()
+    return ClusterSimulation(design), trace, ()
 
 
 def _mixed_tenant_fleet(clusters: int, burst_clusters: int, scale: float, seed: int,
@@ -63,9 +66,14 @@ def _mixed_tenant_fleet(clusters: int, burst_clusters: int, scale: float, seed: 
 
 #: Scenario name -> builder of ``(simulation, trace, failures)``.
 SCENARIOS = {
-    "4-machine": lambda: _burst(2, 2, 50.0, 2_000, seed=11),
-    "16-machine": lambda: _burst(10, 6, 200.0, 8_000, seed=12),
-    "40-machine": lambda: _burst(25, 15, 500.0, 20_000, seed=13),
+    "4-machine": lambda: _burst(splitwise_hh(2, 2), 50.0, 2_000, seed=11),
+    "16-machine": lambda: _burst(splitwise_hh(10, 6), 200.0, 8_000, seed=12),
+    "40-machine": lambda: _burst(splitwise_hh(25, 15), 500.0, 20_000, seed=13),
+    # The paper's conversation iso-power clusters (Fig. 16) at full size:
+    # an unsplit baseline whose JSQ probes every machine per arrival, and
+    # a Splitwise design with A100 token machines.
+    "paper-a100": lambda: _burst(baseline_a100(70), 12.0, 1_500, seed=0),
+    "paper-ha": lambda: _burst(splitwise_ha(25, 26), 60.0, 1_500, seed=17),
     "diurnal-autoscale": lambda: prepare_scenario_run(
         get_scenario("diurnal"), seed=14, scale=4.0, autoscaled=True
     ),
@@ -88,6 +96,8 @@ EXPECTED_SIM_TIME = {
     "4-machine": "172.7535822080592",
     "16-machine": "167.01584566882394",
     "40-machine": "173.58417218336652",
+    "paper-a100": "164.05977306871793",
+    "paper-ha": "85.18092547776104",
     "diurnal-autoscale": "254.5188606131304",
     "fleet-burst": "250.29238581678956",
     "fleet-parallel": "258.6543126857196",
@@ -98,18 +108,21 @@ EXPECTED_SIM_TIME = {
 #: Simulated-state digest of each single-process scenario (the sharded run's
 #: engines live in its workers): events, cancelled, coalesced and heap
 #: compactions of the engine; summed ``fast_forward_runs`` and
-#: ``rotation_runs``; the requests and machine-stats hash prefixes.
+#: ``rotation_runs``; the requests and machine-stats hash prefixes; and the
+#: summed token-log boundaries.
 DIGEST_FIELDS = (
     "events", "cancelled", "coalesced", "compactions",
-    "fast_forward_runs", "rotation_runs", "requests", "machine_stats",
+    "fast_forward_runs", "rotation_runs", "requests", "machine_stats", "token_log_boundaries",
 )
 EXPECTED_DIGEST = {
-    "4-machine": (10_606, 6, 3_559, 0, 189, 6, "b24fc7ea670e01a0", "839ca8b6b2ecc2a2"),
-    "16-machine": (41_770, 29, 13_603, 0, 789, 24, "f72dcc333f062218", "c4f0b35c55bc864f"),
-    "40-machine": (105_986, 75, 35_200, 0, 1_948, 62, "81a67f1fcc9abac2", "788d2de6db102499"),
-    "diurnal-autoscale": (19_351, 2_495, 55_130, 0, 4_536, 0, "7f6567133d4263de", "bbdc9bf8e91993b0"),
-    "fleet-burst": (21_895, 2_793, 84_501, 0, 5_218, 0, "6a587ca5a7b775f7", "85ba4bcd2923bcdf"),
-    "fleet-parallel": (45_112, 5_889, 104_975, 0, 10_395, 0, "f9c986a19c033e03", "ed22b0d607ea2122"),
+    "4-machine": (10_606, 6, 3_559, 0, 189, 6, "b24fc7ea670e01a0", "1cc42ba23f991ed5", 6_727),
+    "16-machine": (41_770, 29, 13_603, 0, 789, 24, "f72dcc333f062218", "05351323f436f169", 25_707),
+    "40-machine": (105_986, 75, 35_200, 0, 1_948, 62, "81a67f1fcc9abac2", "3b250d38f18fc509", 64_558),
+    "paper-a100": (8_611, 1_244, 223_368, 0, 2_549, 0, "0b3803158110c08f", "434d216679ee1945", 4_003),
+    "paper-ha": (10_419, 1_247, 34_587, 0, 2_411, 0, "f203159e12748f60", "752383021f47e108", 2_925),
+    "diurnal-autoscale": (19_351, 2_495, 55_130, 0, 4_536, 0, "7f6567133d4263de", "210d70d724507dbc", 5_641),
+    "fleet-burst": (21_895, 2_793, 84_501, 0, 5_218, 0, "6a587ca5a7b775f7", "b5923addc62cae3c", 6_312),
+    "fleet-parallel": (45_112, 5_889, 104_975, 0, 10_395, 0, "f9c986a19c033e03", "5bee8c7cf6f83443", 13_413),
 }
 
 
@@ -127,7 +140,6 @@ def _digest(simulation, result) -> tuple:
     stats = hashlib.sha256()
     for cluster in clusters:
         stats.update(repr(sorted(cluster.metrics.export_machine_stats().items())).encode())
-        stats.update(repr(cluster.metrics.token_log.boundaries_recorded()).encode())
     return (
         engine.events_processed,
         engine.events_cancelled,
@@ -137,6 +149,7 @@ def _digest(simulation, result) -> tuple:
         sum(machine.rotation_runs for machine in machines),
         requests.hexdigest()[:16],
         stats.hexdigest()[:16],
+        sum(cluster.metrics.token_log.boundaries_recorded() for cluster in clusters),
     )
 
 
@@ -145,6 +158,8 @@ EXPECTED_REPORT_DIGEST = {
     "4-machine": "ed35ae76b108a465",
     "16-machine": "23d57683ef564e5e",
     "40-machine": "e0f9563a18a55b76",
+    "paper-a100": "cb1fa894861f2b5a",
+    "paper-ha": "a2214906ce601d10",
     "diurnal-autoscale": "bd0781353e3c1f07",
     "fleet-burst": "6c35cd803e772bbe",
     "fleet-parallel": "332556ff88855964",
