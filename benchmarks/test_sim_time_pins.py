@@ -115,14 +115,14 @@ DIGEST_FIELDS = (
     "fast_forward_runs", "rotation_runs", "requests", "machine_stats", "token_log_boundaries",
 )
 EXPECTED_DIGEST = {
-    "4-machine": (10_606, 6, 3_559, 0, 189, 6, "b24fc7ea670e01a0", "1cc42ba23f991ed5", 6_727),
-    "16-machine": (41_770, 29, 13_603, 0, 789, 24, "f72dcc333f062218", "05351323f436f169", 25_707),
-    "40-machine": (105_986, 75, 35_200, 0, 1_948, 62, "81a67f1fcc9abac2", "3b250d38f18fc509", 64_558),
-    "paper-a100": (8_611, 1_244, 223_368, 0, 2_549, 0, "0b3803158110c08f", "434d216679ee1945", 4_003),
-    "paper-ha": (10_419, 1_247, 34_587, 0, 2_411, 0, "f203159e12748f60", "752383021f47e108", 2_925),
-    "diurnal-autoscale": (19_351, 2_495, 55_130, 0, 4_536, 0, "7f6567133d4263de", "210d70d724507dbc", 5_641),
-    "fleet-burst": (21_895, 2_793, 84_501, 0, 5_218, 0, "6a587ca5a7b775f7", "b5923addc62cae3c", 6_312),
-    "fleet-parallel": (45_112, 5_889, 104_975, 0, 10_395, 0, "f9c986a19c033e03", "5bee8c7cf6f83443", 13_413),
+    "4-machine": (10_401, 6, 3_764, 0, 211, 6, "b24fc7ea670e01a0", "1cc42ba23f991ed5", 6_705),
+    "16-machine": (40_924, 32, 14_449, 0, 878, 24, "f72dcc333f062218", "05351323f436f169", 25_621),
+    "40-machine": (103_888, 83, 37_298, 0, 2_180, 62, "81a67f1fcc9abac2", "3b250d38f18fc509", 64_333),
+    "paper-a100": (7_254, 1_280, 224_725, 0, 2_603, 0, "0b3803158110c08f", "434d216679ee1945", 3_951),
+    "paper-ha": (9_119, 1_351, 35_887, 0, 2_581, 0, "f203159e12748f60", "752383021f47e108", 2_789),
+    "diurnal-autoscale": (16_980, 2_689, 57_501, 0, 4_908, 0, "7f6567133d4263de", "210d70d724507dbc", 5_311),
+    "fleet-burst": (19_137, 3_027, 87_259, 0, 5_588, 0, "6a587ca5a7b775f7", "b5923addc62cae3c", 5_980),
+    "fleet-parallel": (39_639, 6_472, 110_448, 0, 11_429, 0, "f9c986a19c033e03", "5bee8c7cf6f83443", 12_446),
 }
 
 

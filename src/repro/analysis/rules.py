@@ -442,10 +442,11 @@ class EventPriorityDiscipline(Rule):
 class FrozenConfigMutation(Rule):
     """SIM005: ``object.__setattr__`` may only bypass frozenness on ``self``.
 
-    Frozen dataclasses (configs, events) are frozen so shared state cannot
+    Frozen dataclasses (configs, specs) are frozen so shared state cannot
     drift mid-run.  The declaring class may use ``object.__setattr__(self,
-    ...)`` in narrow helpers (``Event._mark_cancelled``); reaching into
-    *another* object's frozen state breaks the contract invisibly.
+    ...)`` in narrow helpers (``MachineSpec.__post_init__`` filling its
+    derived fields); reaching into *another* object's frozen state breaks
+    the contract invisibly.
     """
 
     rule_id = "SIM005"

@@ -318,8 +318,10 @@ class ClusterSimulation:
 
         Every run drains, so no machine may still hold an in-flight
         iteration, fast-forward run or rotation: that state would mean work
-        the result never sees.  Then the autoscaler's machine-hour intervals
-        are finalized and the result packaged.
+        the result never sees.  Clearing the machines' callbacks (bound
+        methods of the scheduler that holds them) lets refcounting free a
+        dropped result's machines.  Then the autoscaler's machine-hour
+        intervals are finalized and the result packaged.
 
         Raises:
             AccountingError: naming the first machine that still holds
@@ -327,6 +329,7 @@ class ClusterSimulation:
         """
         for machine in self.machines:
             machine.check_drained()
+            machine.on_prompt_complete = machine.on_request_complete = machine.on_iteration_complete = None
         if self.autoscaler is not None:
             self.autoscaler.finalize(duration_s)
         return SimulationResult(

@@ -67,15 +67,17 @@ def prompt_queue_load(machine: SimulatedMachine) -> int:
 def decode_queue_load(machine: SimulatedMachine) -> int:
     """Pending decode tokens (JSQ key for token routing).
 
-    Open-coded mirror of ``SimulatedMachine.pending_decode_tokens``
-    (including the fast-forward sync that keeps lazily committed macro-events
-    observable), one call layer shallower.
+    Open-coded mirror of ``SimulatedMachine.pending_decode_tokens``, one call
+    layer shallower and without its commit: a fast-forwarding machine's
+    members each owe one token fewer per boundary passed since the last
+    commit.
     """
-    if machine._ff_boundaries is not None:
-        machine._ff_sync()
     if machine.debug_accounting:
         machine.verify_accounting()
-    return machine._pool_decode_tokens + machine._expected_decode_tokens
+    load = machine._pool_decode_tokens + machine._expected_decode_tokens
+    if machine._ff_boundaries is not None:
+        load -= machine._ff_uncommitted() * len(machine._running_plan.token_requests)
+    return load
 
 
 def total_queue_load(machine: SimulatedMachine) -> int:
@@ -168,11 +170,11 @@ class MachinePool:
         best: SimulatedMachine | None = None
         best_load: int | None = None
         for machine in self.machines:
-            if machine._ff_boundaries is not None:
-                machine._ff_sync()
             if machine.debug_accounting:
                 machine.verify_accounting()
             machine_load = machine._pool_decode_tokens + machine._expected_decode_tokens
+            if machine._ff_boundaries is not None:
+                machine_load -= machine._ff_uncommitted() * len(machine._running_plan.token_requests)
             if (
                 best_load is None
                 or machine_load < best_load

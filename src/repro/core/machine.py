@@ -26,12 +26,12 @@ per-iteration cost of the two steady-state decode regimes while keeping
 results bit-identical to per-iteration stepping:
 
 * **Full-pool macro-events.**  When a decode-only plan covers the whole
-  token pool, the next *k* iterations (until the earliest completion, capped
-  by the KV budget) are fully determined.  The machine precomputes the
-  latency/energy series, schedules a single macro-event at the k-th
-  boundary, and lazily commits virtual iterations — token timestamps,
-  counters, metrics, callbacks — whenever the pool is observed (JSQ probes,
-  accounting checks) or transitions (enqueue/admit/withdraw/fail).  A
+  token pool, the next *k* iterations (through the earliest completion,
+  capped by the KV budget) are fully determined.  One macro-event at the
+  k-th boundary commits the first k - 1 in bulk and steps the last through
+  ``_finish_iteration``; queue metrics and transitions (enqueue/admit/
+  withdraw/fail) commit passed iterations earlier, JSQ probes read them
+  without committing, and a run's metrics are recorded when it ends.  A
   transition tombstones the macro-event and resumes per-iteration stepping
   at the in-flight iteration's boundary.
 * **Oversubscribed rotation.**  With more pool members than batch slots, a
@@ -94,11 +94,10 @@ class MachineRole(enum.Enum):
 _COMPLETED = RequestPhase.COMPLETED
 _TOKEN_RUNNING = RequestPhase.TOKEN_RUNNING
 
-#: A steady-state run must cover at least this many decode iterations for the
-#: macro-event machinery to beat plain per-iteration stepping.
+#: A steady-state run must cover at least this many decode iterations (its
+#: last one finished by the macro-event itself) for the macro-event machinery
+#: to beat plain per-iteration stepping.
 _MIN_COALESCED_ITERATIONS = 2
-
-
 
 
 class AccountingError(AssertionError):
@@ -127,10 +126,11 @@ class SimulatedMachine:
             Defaults to the ``REPRO_DEBUG_ACCOUNTING=1`` environment flag.
         fast_forward: Coalesce steady-state decode runs into macro-events
             (bit-identical results, large speedup on decode-heavy phases).
-            Callers that attach an ``on_iteration_complete`` hook observing
-            *wall-clock-accurate* per-iteration timing should disable it:
-            coalesced iterations fire the hook once per iteration but in a
-            burst at commit time.
+            ``on_iteration_complete`` fires once per iteration the machine
+            steps: a coalesced run fires it once, at its last boundary, so a
+            run is only coalesced while the cluster scheduler's pool-restore
+            hook is a no-op.  Disable it to see the hook after every
+            iteration.
     """
 
     def __init__(
@@ -216,16 +216,12 @@ class SimulatedMachine:
         self._running_plan: BatchPlan | None = None
         self._finish_prompt_latency = 0.0
         self._event: Event | None = None
-        # Decode fast-forward state: the per-iteration duration/energy
-        # series, the absolute end time of every coalesced iteration (one per
-        # iteration of the run), and commit cursors (bookkeeping committed
-        # vs. metrics recorded — metrics lead by one because the
-        # per-iteration simulator records an iteration when it *starts*).
+        # Decode fast-forward state: the per-iteration duration series, the
+        # absolute end time of every iteration of the run, and how many
+        # iterations are committed.
         self._ff_boundaries: array | None = None
         self._ff_durations: array | None = None
-        self._ff_energies: array | None = None
         self._ff_done = 0
-        self._ff_recorded = 0
         self.fast_forward_runs = 0  # macro-events launched (introspection)
         # Oversubscribed pools: the level forest replaces the flat priority
         # view while active, and holds the in-flight iteration's selection
@@ -690,13 +686,13 @@ class SimulatedMachine:
         """Launch a macro-event coalescing the next steady-state decode run.
 
         Returns False (leaving the caller on the per-iteration path) when the
-        run would be too short to pay for itself.  The run length is the
-        number of iterations until the earliest completion, additionally
-        capped so the pooled KV context — which grows by one token per
-        request per iteration — never crosses the budget that would force the
-        batching policy to skip a member.
+        run would be too short to pay for itself.  The run lasts through the
+        iteration that completes its earliest member, capped so the pooled
+        KV context — which grows by one token per request per iteration —
+        never crosses the budget that would force the batching policy to
+        skip a member.
         """
-        count = min(r.output_tokens - r.generated_tokens for r in plan.token_requests) - 1
+        count = min(r.output_tokens - r.generated_tokens for r in plan.token_requests)
         headroom_iterations = (self.constraints.kv_capacity - plan.context_tokens) // token_requests + 1
         if headroom_iterations < count:
             count = headroom_iterations
@@ -706,7 +702,6 @@ class SimulatedMachine:
         durations = array("d", self.performance.token_latency_series(
             token_requests, plan.context_tokens, token_requests, count
         ).tobytes())
-        energies = self.power.token_energy_series(token_requests, durations)
         # Boundary j is the end of coalesced iteration j, accumulated with the
         # same left-to-right float additions the event clock would perform.
         boundaries = array("d")
@@ -717,50 +712,33 @@ class SimulatedMachine:
             append(time)
 
         self._ff_durations = durations
-        self._ff_energies = energies
         self._ff_boundaries = boundaries
         self._event = self.engine.schedule_at(
             boundaries[-1], self._on_macro_event, priority=FINISH_EVENT_PRIORITY, tag=self._macro_tag
         )
         self.fast_forward_runs += 1
-        # The first coalesced iteration starts now; record its metrics (the
-        # per-iteration path records an iteration when it starts).
-        self._ff_sync()
         return True
+
+    def _ff_uncommitted(self) -> int:
+        """Iterations the clock has passed since the last commit, never the run's last."""
+        boundaries = self._ff_boundaries
+        return bisect_right(boundaries, self.engine.now, 0, len(boundaries) - 1) - self._ff_done
 
     def _ff_sync(self) -> None:
         """Commit every coalesced iteration the simulated clock has passed.
 
-        Called before any observation of pool state (queue probes, accounting
-        checks) and on every interrupt, so mid-run observers see exactly the
-        state the per-iteration simulator would expose at the same timestamp:
-        bookkeeping for iterations whose boundary has passed, metrics for
-        iterations that have started.
+        Called before any committing observation of pool state (queue
+        metrics, accounting checks) and on every interrupt, so such
+        observers see exactly the bookkeeping the per-iteration simulator
+        would expose at the same timestamp.
         """
-        boundaries = self._ff_boundaries
-        if boundaries is None:
+        if self._ff_boundaries is None:
             return
-        finished = bisect_right(boundaries, self.engine.now)
-        done = self._ff_done
-        if finished > done:
-            self._ff_commit(done, finished)
-            self._ff_done = finished
-        started = finished + 1
-        count = len(boundaries)
-        if started > count:
-            started = count
-        recorded = self._ff_recorded
-        if started > recorded:
-            n = len(self._running_plan.token_requests)
-            self.metrics.record_coalesced(
-                self.name,
-                started - recorded,
-                n,  # decode-only batch: active tokens == batched requests
-                memoryview(self._ff_durations)[recorded:started],
-                memoryview(self._ff_energies)[recorded:started],
-                n,
-            )
-            self._ff_recorded = started
+        passed = self._ff_uncommitted()
+        if passed:
+            done = self._ff_done
+            self._ff_commit(done, done + passed)
+            self._ff_done = done + passed
 
     def _ff_commit(self, start: int, stop: int) -> None:
         """Apply the bookkeeping of coalesced iterations ``[start, stop)``.
@@ -768,11 +746,11 @@ class SimulatedMachine:
         Equivalent to running ``stop - start`` per-iteration finish loops: one
         token per pool member per iteration, timestamps at the precomputed
         boundaries, counters moved by exact integer totals.  No member can
-        complete (the run stops one iteration short of the earliest
-        completion) and nothing can age (the whole pool is in the batch), so
-        the completion/aging arms of the per-iteration loop are provably dead
-        here.  Each member's token times are extended by the committed slice
-        of the boundary series.
+        complete (only the run's last iteration completes one, and it is
+        never committed here) and nothing can age (the whole pool is in the
+        batch), so the completion/aging arms of the per-iteration loop are
+        provably dead here, and so is the pool-restore hook the scheduler
+        attaches (see ``_start_iteration``), which is not fired.
         """
         plan = self._running_plan
         count = stop - start
@@ -784,23 +762,28 @@ class SimulatedMachine:
         generated = count * len(plan.token_requests)
         self._pool_decode_tokens -= generated
         self._kv_tokens += generated
-        on_iteration_complete = self.on_iteration_complete
-        if on_iteration_complete is not None:
-            for _ in range(count):
-                on_iteration_complete(self)
 
-    def _ff_clear(self, fired: bool) -> None:
-        """Tear down the fast-forward state, crediting coalesced event counts."""
-        # Every committed iteration ran without its own queue entry, except
-        # the one the macro-event itself finished (when it fired).
-        self.engine.note_coalesced(self._ff_done - 1 if fired else self._ff_done)
-        if not fired and self._event is not None:
-            self.engine.cancel(self._event)
+    def _ff_clear(self, started: int) -> None:
+        """End the run: record its ``started`` iterations' metrics, credit the committed as coalesced.
+
+        Nothing reads a machine's stats mid-run, so recording them at the end
+        sums what the per-iteration path records at each start, in order.
+        """
+        n = len(self._running_plan.token_requests)
+        durations = memoryview(self._ff_durations)[:started]
+        self.metrics.record_coalesced(
+            self.name,
+            started,
+            n,  # decode-only batch: active tokens == batched requests
+            durations,
+            self.power.token_energy_series(n, durations),
+            n,
+        )
+        self.engine.note_coalesced(self._ff_done)
         self._event = None
         self._ff_boundaries = None
         self._ff_durations = None
-        self._ff_energies = None
-        self._ff_done = self._ff_recorded = 0
+        self._ff_done = 0
 
     def _ff_interrupt(self) -> None:
         """Fall back to per-iteration stepping before a pool transition.
@@ -815,26 +798,18 @@ class SimulatedMachine:
             return
         self._ff_sync()
         in_flight = self._ff_done
-        self._ff_clear(fired=False)
-        if in_flight >= len(boundaries):
-            # The run is fully committed (the interrupter fired at the final
-            # boundary, winning the tie against the macro-event): the machine
-            # is idle; re-plan via a fresh kick once the caller's transition
-            # lands.
-            self._running_plan = None
-            self._kick()
-            return
+        self.engine.cancel(self._event)
+        self._ff_clear(in_flight + 1)
         # The plan is decode-only, so its finish needs no prompt latency.
         self._event = self.engine.schedule_at(
             boundaries[in_flight], self._on_finish_event, priority=FINISH_EVENT_PRIORITY, tag=self._finish_tag
         )
 
     def _on_macro_event(self) -> None:
-        """Finish a completed steady-state run and re-plan."""
-        self._ff_sync()  # now == final boundary: commits the whole run
-        self._ff_clear(fired=True)
-        self._running_plan = None
-        self._start_iteration()
+        """Finish a run at its last boundary: the earlier iterations in bulk, the last stepped."""
+        self._ff_sync()
+        self._ff_clear(len(self._ff_boundaries))
+        self._finish_iteration(self._running_plan, 0.0)
 
     # -- oversubscribed-pool rotation ----------------------------------------------------
 

@@ -4,7 +4,9 @@ Token times themselves are recorded on each request
 (:attr:`~repro.simulation.request.Request.token_times`); the log only counts
 the per-iteration boundaries that produced decode tokens, one per
 ``SimulatedMachine._finish_iteration`` that serviced at least one token
-request.  Coalesced fast-forward iterations are not counted.
+request.  The iterations a fast-forward run commits in bulk are not
+counted; its last iteration, which the macro-event steps through
+``_finish_iteration``, is.
 """
 
 from __future__ import annotations

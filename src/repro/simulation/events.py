@@ -1,6 +1,6 @@
 """Event records for the discrete-event engine.
 
-Events are ordered by ``(time, priority, sequence)``.  The sequence number is
+Events fire in ``(time, priority, sequence)`` order.  The sequence number is
 assigned by the engine at scheduling time, which makes simulations fully
 deterministic: two events at the same timestamp and priority fire in the
 order they were scheduled.
@@ -14,7 +14,6 @@ the queue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 # Same-timestamp ordering across the stack follows a fixed priority ladder
@@ -42,9 +41,8 @@ PROVISIONER_TICK_PRIORITY = 4
 METRICS_TICK_PRIORITY = 5
 
 
-@dataclass(order=True, frozen=True, slots=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback (the engine's heap orders ``(time, priority, sequence, event)`` tuples).
 
     Attributes:
         time: Simulated time (seconds) at which the event fires.
@@ -56,29 +54,29 @@ class Event:
         fired: Whether the event has already executed (set by the engine).
     """
 
-    time: float
-    priority: int
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    tag: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
+    __slots__ = ("time", "priority", "sequence", "action", "tag", "cancelled", "fired")
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be non-negative, got {self.time}")
+    def __init__(self, time: float, priority: int, sequence: int, action: Callable[[], None],
+                 tag: str = "", cancelled: bool = False, fired: bool = False) -> None:
+        if time < 0:
+            raise ValueError(f"event time must be non-negative, got {time}")
+        self.time = time
+        self.priority = priority
+        self.sequence = sequence
+        self.action = action
+        self.tag = tag
+        self.cancelled = cancelled
+        self.fired = fired
 
     @property
     def live(self) -> bool:
         """Whether the event is still pending (neither fired nor cancelled)."""
         return not self.cancelled and not self.fired
 
-    # The dataclass is frozen so callers cannot corrupt ordering fields while
-    # the event sits in the heap; the two status flags are still mutated
-    # through these narrow helpers (used only by the engine).
+    # The two status flags change only through these helpers (used by the engine).
 
     def _mark_cancelled(self) -> None:
-        object.__setattr__(self, "cancelled", True)
+        self.cancelled = True
 
     def _mark_fired(self) -> None:
-        object.__setattr__(self, "fired", True)
+        self.fired = True

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.cluster import ClusterSimulation, simulate_design
@@ -111,6 +114,20 @@ class TestSimulationRun:
 
 
 class TestDrainedCheck:
+    def test_finished_run_frees_its_machines_without_a_collection(self, small_splitwise_design, tiny_trace):
+        # The machines' completion callbacks are bound methods of the
+        # scheduler that holds the machines; once finish() clears them, a
+        # dropped result and simulation free the machines by refcount alone.
+        gc.disable()
+        try:
+            simulation = ClusterSimulation(small_splitwise_design)
+            result = simulation.run(tiny_trace)
+            machine = weakref.ref(simulation.machines[0])
+            del result, simulation
+            assert machine() is None
+        finally:
+            gc.enable()
+
     def test_finish_names_a_machine_with_an_in_flight_macro_event(self, small_splitwise_design, small_trace):
         # Step the engine by hand and stop while a token machine is inside a
         # coalesced fast-forward run: closing the run there must raise.

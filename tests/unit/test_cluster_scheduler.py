@@ -244,6 +244,30 @@ class TestInlinedProbeMirrors:
                     assert decode_queue_load(machine) == machine.pending_decode_tokens
         assert steps > 0
 
+    def test_probes_read_a_fast_forwarding_machine_without_committing(self):
+        from repro.core.cluster_scheduler import decode_queue_load
+
+        engine = SimulationEngine()
+        machine = SimulatedMachine(
+            "t0", DGX_H100, LLAMA2_70B, engine, role=MachineRole.TOKEN, debug_accounting=False
+        )
+        requests = []
+        for index, output in enumerate((12, 16, 20)):
+            request = _request(index, prompt=200, output=output)
+            request.start_prompt(0.0, "p")
+            request.finish_prompt(0.0)
+            machine.admit_token_request(request)
+            requests.append(request)
+        pool = MachinePool(name="token", machines=[machine])
+        engine.run(until=0.2)  # mid-run, several boundaries past the last commit
+        assert machine._ff_boundaries is not None
+        before = [list(request.token_times) for request in requests]
+        load = decode_queue_load(machine)
+        assert pool.least_decode_loaded() is machine
+        assert [list(request.token_times) for request in requests] == before
+        assert machine.pending_decode_tokens == load  # commits the passed boundaries
+        assert [len(request.token_times) for request in requests] != [len(times) for times in before]
+
     def test_specialized_pool_selection_matches_generic(self):
         from repro.core.cluster_scheduler import decode_queue_load, prompt_queue_load
 

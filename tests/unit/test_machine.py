@@ -442,6 +442,24 @@ class TestDecodeFastForward:
         assert stats_off.busy_time_s == stats_on.busy_time_s
         assert stats_off.energy_wh == stats_on.energy_wh
 
+    def test_run_ends_at_its_first_completion_in_one_event(self):
+        series, counts = [], []
+        for fast_forward in (False, True):
+            engine = SimulationEngine()
+            machine = SimulatedMachine(
+                "t0", DGX_H100, LLAMA2_70B, engine, role=MachineRole.TOKEN, fast_forward=fast_forward
+            )
+            requests = [_decoding(index, output=output) for index, output in enumerate([5, 9, 13])]
+            for request in requests:
+                machine.admit_token_request(request)
+            engine.run()
+            series.append([list(request.token_times) for request in requests])
+            counts.append((engine.events_processed, engine.events_coalesced))
+        # The members owe 4, 8 and 12 tokens: one start event, then one
+        # macro-event per completion that also steps the completing iteration.
+        assert counts == [(13, 0), (4, 9)]
+        assert series[0] == series[1]
+
     def test_mid_run_admission_interrupts_without_drift(self):
         outputs = [10, 14, 18]
         timelines = []

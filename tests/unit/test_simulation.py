@@ -16,12 +16,6 @@ class TestEvent:
         with pytest.raises(ValueError):
             Event(time=-1.0, priority=0, sequence=0, action=lambda: None)
 
-    def test_ordering_by_time_then_priority_then_sequence(self):
-        a = Event(time=1.0, priority=0, sequence=0, action=lambda: None)
-        b = Event(time=1.0, priority=1, sequence=1, action=lambda: None)
-        c = Event(time=0.5, priority=5, sequence=2, action=lambda: None)
-        assert sorted([a, b, c]) == [c, a, b]
-
 
 class TestSimulationEngine:
     def test_clock_starts_at_zero(self):
