@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.core.kv_transfer import KVTransferModel
-from repro.core.machine import MachineRole, SimulatedMachine
+from repro.core.machine import AccountingError, MachineRole, SimulatedMachine
 from repro.hardware.interconnect import infiniband_for
 from repro.models.llm import ModelSpec
 from repro.simulation.engine import SimulationEngine
@@ -70,14 +70,22 @@ def decode_queue_load(machine: SimulatedMachine) -> int:
     Open-coded mirror of ``SimulatedMachine.pending_decode_tokens``, one call
     layer shallower and without its commit: a fast-forwarding machine's
     members each owe one token fewer per boundary passed since the last
-    commit.
+    commit.  Under debug accounting the property (which commits and
+    recounts) must then report the same load.
     """
-    if machine.debug_accounting:
-        machine.verify_accounting()
     load = machine._pool_decode_tokens + machine._expected_decode_tokens
     if machine._ff_boundaries is not None:
         load -= machine._ff_uncommitted() * len(machine._running_plan.token_requests)
+    if machine.debug_accounting:
+        _check_lazy_decode_load(machine, load)
     return load
+
+
+def _check_lazy_decode_load(machine: SimulatedMachine, load: int) -> None:
+    """Raise unless a probe's uncommitted read equals the committed, recounted load."""
+    committed = machine.pending_decode_tokens
+    if load != committed:
+        raise AccountingError(f"machine {machine.name}: probe read decode load {load}, committed {committed}")
 
 
 def total_queue_load(machine: SimulatedMachine) -> int:
@@ -170,11 +178,11 @@ class MachinePool:
         best: SimulatedMachine | None = None
         best_load: int | None = None
         for machine in self.machines:
-            if machine.debug_accounting:
-                machine.verify_accounting()
             machine_load = machine._pool_decode_tokens + machine._expected_decode_tokens
             if machine._ff_boundaries is not None:
                 machine_load -= machine._ff_uncommitted() * len(machine._running_plan.token_requests)
+            if machine.debug_accounting:
+                _check_lazy_decode_load(machine, machine_load)
             if (
                 best_load is None
                 or machine_load < best_load
