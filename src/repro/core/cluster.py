@@ -287,14 +287,17 @@ class ClusterSimulation:
 
         Raises:
             ValueError: if a failure injection names a machine this cluster
-                does not have, or fires at a negative time.  Validated here,
-                at scenario-build time, so a typo surfaces as a clear error
-                before the run instead of a mid-simulation ``KeyError``.
+                does not have, or fires at a negative time, or if the
+                failures fail every machine while the scheduler has no
+                ``evacuation_handler`` to take the displaced work (failures
+                are permanent, so the run could never drain).  Validated
+                here, at scenario-build time, so a typo surfaces as a clear
+                error before the run instead of a mid-simulation exception.
         """
         known = {machine.name for machine in self.machines}
+        label = self.name or self.design.label
         for failure_time, machine_name in failures:
             if machine_name not in known:
-                label = self.name or self.design.label
                 raise ValueError(
                     f"failure injection at t={failure_time} names unknown machine "
                     f"{machine_name!r}; cluster {label!r} machines: {sorted(known)}"
@@ -303,6 +306,12 @@ class ClusterSimulation:
                 raise ValueError(
                     f"failure injection for {machine_name!r} has negative time {failure_time}"
                 )
+        lost_at = self.lost_at(failures)
+        if lost_at is not None and self.scheduler.evacuation_handler is None:
+            raise ValueError(
+                f"failure injections fail every machine of cluster {label!r} by t={lost_at} "
+                f"({', '.join(sorted(known))}); no machine would be left to serve its requests"
+            )
         if self.autoscaler is not None:
             self.autoscaler.attach(self.engine, self.scheduler)
         for failure_time, machine_name in failures:
@@ -312,6 +321,15 @@ class ClusterSimulation:
                 priority=FAULT_EVENT_PRIORITY,
                 tag=f"failure:{machine_name}",
             )
+
+    def lost_at(self, failures: Sequence[tuple[float, str]]) -> float | None:
+        """When ``failures`` have failed every machine of the cluster (``None``: never)."""
+        first: dict[str, float] = {}
+        for failure_time, machine_name in failures:
+            first[machine_name] = min(failure_time, first.get(machine_name, failure_time))
+        if any(machine.name not in first for machine in self.machines):
+            return None
+        return max(first[machine.name] for machine in self.machines)
 
     def finish(self, requests: list[Request], trace_name: str, duration_s: float) -> SimulationResult:
         """Close out a drained run and assemble this cluster's :class:`SimulationResult`.

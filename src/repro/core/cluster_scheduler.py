@@ -301,6 +301,11 @@ class ClusterScheduler:
         #: and handed to this callable instead of being resubmitted locally —
         #: the lifecycle layer decides whether (and where) to retry them.
         self.restart_handler: Callable[[Request], None] | None = None
+        #: When set (fleet), the failure of the last live machine evacuates
+        #: the cluster and hands every displaced request to this callable:
+        #: nothing inside the cluster can take them.  Without it, a cluster
+        #: must never lose every machine (see ``ClusterSimulation.prepare``).
+        self.evacuation_handler: Callable[[list[Request]], None] | None = None
 
         for machine in self.machines:
             machine.on_prompt_complete = self._handle_prompt_complete
@@ -526,7 +531,9 @@ class ClusterScheduler:
         request whose prompt or token machine fails.  The failed machine
         moves to the failed pool; every incomplete request it held — plus any
         request that was routed to it as a future token machine — is reset and
-        resubmitted through the normal routing path.
+        resubmitted through the normal routing path.  When it is the last live
+        machine and an :attr:`evacuation_handler` is set, the cluster is
+        evacuated instead and the handler takes the displaced requests.
 
         Returns:
             The requests that were restarted.
@@ -537,6 +544,10 @@ class ClusterScheduler:
         target = self._resolve_machine(machine)
         if target.failed:
             return []
+        if self.evacuation_handler is not None and len(self.failed_pool) + 1 == len(self.machines):
+            evacuated = self.evacuate()
+            self.evacuation_handler(evacuated)
+            return evacuated
         to_restart = {id(r): r for r in self._take_down(target)}
         # Requests routed to the failed machine for a later phase must also restart.
         for request_id, decision in list(self._assignments.items()):

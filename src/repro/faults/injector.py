@@ -108,7 +108,7 @@ class FaultInjector:
     def _fire_machine_fail(self, injection: Injection) -> bool:
         cluster = self._cluster_of_machine[injection.target]
         if not cluster.available:
-            return False  # already down wholesale (outage in progress)
+            return False  # already down wholesale (an outage, or every machine failed)
         scheduler = cluster.scheduler
         machine = scheduler.find_machine(injection.target)
         if machine.failed:
@@ -120,7 +120,7 @@ class FaultInjector:
 
     def _fire_machine_recover(self, injection: Injection) -> bool:
         cluster = self._cluster_of_machine[injection.target]
-        if not cluster.available:
+        if cluster.outage:
             return False  # the outage's end will recover the whole cluster
         machine = cluster.scheduler.find_machine(injection.target)
         if not machine.failed:
@@ -139,7 +139,7 @@ class FaultInjector:
 
     def _fire_outage_end(self, injection: Injection) -> bool:
         cluster = self._cluster_by_name[injection.target]
-        if cluster.available:
+        if not cluster.outage:
             return False
         self.fleet.end_outage(cluster)
         return True

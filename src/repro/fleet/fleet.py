@@ -63,10 +63,10 @@ class FleetCluster:
             provisioner).
         routable: Whether the router may send new requests here.  Owned by
             the provisioner lifecycle (or static construction).
-        available: Whether the cluster is physically up.  Owned by the fault
-            plane: a correlated outage clears it, the outage's end restores
-            it.  Distinct from ``routable`` so an outage and recovery never
-            fight the provisioner over the same bit.
+        outage: Whether a correlated outage has the cluster down.  Owned by
+            the fault plane: an outage sets it, the outage's end clears it.
+            Distinct from ``routable`` so an outage and recovery never fight
+            the provisioner over the same bit.
         requests: Every request routed to this cluster, in routing order.
     """
 
@@ -74,8 +74,19 @@ class FleetCluster:
     simulation: ClusterSimulation
     state: ClusterState = ClusterState.ACTIVE
     routable: bool = True
-    available: bool = True
+    outage: bool = False
     requests: list[Request] = field(default_factory=list, repr=False)
+
+    @property
+    def available(self) -> bool:
+        """Whether the cluster is physically up: no outage, and a machine not failed.
+
+        A cluster whose whole roster has failed (machine failures, not an
+        outage) serves nobody either, so the router passes it over until a
+        machine recovers.  O(1): the failed pool's size against the roster.
+        """
+        scheduler = self.simulation.scheduler
+        return not self.outage and len(scheduler.failed_pool) < len(scheduler.machines)
 
     @property
     def scheduler(self):
@@ -371,10 +382,14 @@ class FleetSimulation:
 
     # -- internal wiring ---------------------------------------------------------------
 
-    def _wire_completion_hooks(self) -> None:
+    def _wire_cluster_hooks(self) -> None:
+        """Report completions to the fleet; reroute the work of a cluster that loses every machine."""
         for cluster in self.clusters:
             cluster.scheduler.on_request_complete = (
                 lambda request, name=cluster.name: self._on_complete(name, request)
+            )
+            cluster.scheduler.evacuation_handler = (
+                lambda evacuated, lost=cluster: self._reroute(lost, evacuated)
             )
 
     def _wire_failure_hooks(self) -> None:
@@ -434,23 +449,36 @@ class FleetSimulation:
                     # (readmit) are exempt — admission gates *new* work, and
                     # dropping already-admitted work on re-route would lose
                     # requests.
-                    request.shed = True
-                    self._shed += 1
-                    self.shed_by_tenant[request.tenant] = (
-                        self.shed_by_tenant.get(request.tenant, 0) + 1
-                    )
-                    if self.obs is not None:
-                        self.obs.recorder.note_shed(request, self.engine.now)
-                    if self._completed + self._shed + self._expired >= self._expected:
-                        self._stop_controllers()
+                    self._shed_request(request)
                     return
         if self.lifecycle is not None and not readmit:
             self.lifecycle.register(request)
         self._submit_attempt(request)
 
+    def _shed_request(self, request: Request) -> None:
+        """Reject a request for good and account it toward the run's census."""
+        request.shed = True
+        self._shed += 1
+        self.shed_by_tenant[request.tenant] = self.shed_by_tenant.get(request.tenant, 0) + 1
+        if self.obs is not None:
+            self.obs.recorder.note_shed(request, self.engine.now)
+        if self._completed + self._shed + self._expired >= self._expected:
+            self._stop_controllers()
+
     def _submit_attempt(self, request: Request, exclude: str | None = None) -> None:
-        """Route one attempt (original, retry, or hedge clone) to a cluster."""
+        """Route one attempt (original, retry, or hedge clone) to a cluster.
+
+        When no cluster can take it (every one is down, unroutable, or has
+        lost all its machines), the request is shed and its lifecycle
+        settled.  A hedge clone always finds one: the lifecycle launches it
+        only while another cluster is available.
+        """
         cluster = self.router.route(request, exclude=exclude)
+        if cluster is None:
+            if self.lifecycle is not None:
+                self.lifecycle.settle_shed(request)
+            self._shed_request(request)
+            return
         cluster.requests.append(request)
         if self.obs is not None:
             self.obs.recorder.note_route(request, cluster.name, self.engine.now, "route")
@@ -478,16 +506,16 @@ class FleetSimulation:
 
         Every machine fails at once; displaced requests are withdrawn from
         the router's books and re-routed across the surviving clusters.
-        The cluster stays ``available = False`` until :meth:`end_outage`.
+        The cluster stays unavailable until :meth:`end_outage`.
         """
-        cluster.available = False
+        cluster.outage = True
         if self.obs is not None:
             self.obs.recorder.note_outage(cluster.name, True, self.engine.now)
         self._reroute(cluster, cluster.scheduler.evacuate())
 
     def end_outage(self, cluster: FleetCluster) -> None:
         """Bring an outaged cluster back: repair done, machines rejoin empty."""
-        cluster.available = True
+        cluster.outage = False
         if self.obs is not None:
             self.obs.recorder.note_outage(cluster.name, False, self.engine.now)
         cluster.scheduler.recover_all()
@@ -514,9 +542,11 @@ class FleetSimulation:
     def _reroute(self, cluster: FleetCluster, evacuated: list[Request]) -> None:
         """Withdraw requests evacuated from ``cluster`` and route them again.
 
-        They leave the router's books and the cluster's roster; then the
-        lifecycle coordinator decides retry vs expire, or, without one, each
-        is readmitted across the routable clusters.
+        Called for an outage, a revocation, and the failure of a cluster's
+        last live machine.  The requests leave the router's books and the
+        cluster's roster; then the lifecycle coordinator decides retry vs
+        expire, or, without one, each is readmitted across the available
+        clusters (and shed when there is none).
         """
         self.router.note_evacuated(cluster.name, evacuated)
         if not evacuated:
@@ -560,7 +590,7 @@ class FleetSimulation:
         if self.parallel is not None:
             from repro.simulation.sharding import plan_shards
 
-            plan = plan_shards(self, self.parallel)
+            plan = plan_shards(self, self.parallel, failures)
             if plan.mode == "parallel":
                 return self._run_sharded(trace, requests, failures, plan)
             # Coupled configuration: fall through to the exact serial path
@@ -588,7 +618,7 @@ class FleetSimulation:
         self.expired_by_tenant = {}
         if self.lifecycle is not None:
             self.lifecycle.reset()
-        self._wire_completion_hooks()
+        self._wire_cluster_hooks()
         if self.lifecycle is not None and self.lifecycle.retry is not None:
             # With a retry policy, failed attempts leave their cluster and
             # re-enter through the router (failing cluster excluded, budget
@@ -705,6 +735,7 @@ class FleetSimulation:
         for index in order:
             request = requests[index]
             cluster = self.router.route(request)
+            assert cluster is not None  # every cluster is up before the run starts
             cluster.requests.append(request)
             arrivals[shard_of[cluster.name]].append((index, request.descriptor, cluster.name))
         cluster_kwargs = tuple(sorted(self._cluster_kwargs.items()))

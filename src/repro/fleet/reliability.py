@@ -41,7 +41,7 @@ as *attempts* of their logical request, never as requests of their own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from repro.simulation.events import LIFECYCLE_EVENT_PRIORITY, Event
@@ -479,6 +479,12 @@ class ReliabilityCoordinator:
             return  # the live hedge attempt carries the request; no retry burned
         self._schedule_retry(lifecycle, cluster_name)
 
+    def settle_shed(self, request: Request) -> None:
+        """Settle a logical request the fleet sheds because no cluster can take it."""
+        lifecycle = self._by_id.get(request.request_id)
+        if lifecycle is not None:
+            self._settle(lifecycle)
+
     def _retry_pending(self, lifecycle: _Lifecycle) -> bool:
         event = lifecycle.retry_event
         return event is not None and event.live
@@ -625,11 +631,7 @@ class ReliabilityCoordinator:
         if not alternatives:
             self.hedges_suppressed += 1
             return
-        clone = Request(
-            descriptor=replace(
-                request.descriptor, request_id=request.request_id + _CLONE_OFFSET
-            )
-        )
+        clone = Request(descriptor=request.descriptor.replace(request_id=request.request_id + _CLONE_OFFSET))
         # Mirror any degraded truncation so both attempts race to the same
         # finish line (identical output budgets).
         clone.output_tokens = request.output_tokens

@@ -284,12 +284,11 @@ class ClusterTraffic:
         else:
             self.by_tenant.pop(request.tenant, None)
 
-    def note_completed(self, request: Request) -> None:
+    def note_completed(self, request: Request, mean_tbt: float | None) -> None:
         self.completed += 1
         if request.ttft is not None:
             self.ttft_window.append(request.ttft)
             self._p99_cache = None
-        mean_tbt = request.mean_tbt
         if mean_tbt is not None:
             self.tbt_window.append(mean_tbt)
             self._p99_cache = None
@@ -313,8 +312,8 @@ class FleetRouter:
     Args:
         policy: One of :data:`ROUTER_POLICIES`.
         tenant_pins: Optional ``{tenant: cluster_name}`` constraints; a
-            pinned tenant's requests only ever go to that cluster (it must
-            stay routable, or routing raises).
+            pinned tenant's requests only ever go to that cluster (while it
+            is unroutable or unavailable, they find no cluster).
         slo_window: Completions remembered per cluster for the rolling
             P99 windows of the ``"slo-feedback"`` policy.
         reliability: Optional per-cluster error tracking with auto-ban,
@@ -382,7 +381,7 @@ class FleetRouter:
 
     # -- routing -----------------------------------------------------------------------
 
-    def route(self, request: Request, exclude=None) -> "FleetCluster":
+    def route(self, request: Request, exclude=None) -> "FleetCluster | None":
         """Pick the cluster that will serve ``request`` and record the decision.
 
         Args:
@@ -394,26 +393,22 @@ class FleetRouter:
                 is used anyway (a slow retry beats a dropped request), and
                 tenant pins override it entirely.
 
-        Raises:
-            RuntimeError: when no routable cluster exists (or a pinned
-                tenant's cluster is not routable).
+        Returns:
+            The chosen cluster, or ``None`` when no routable, available
+            cluster can take the request (the fleet sheds it).
         """
         pinned = self.tenant_pins.get(request.tenant)
         if pinned is not None:
             # A pin overrides reliability bans (the tenant has nowhere else
-            # to go) but not availability — an outaged cluster serves nobody.
+            # to go) but not availability — a cluster that is down serves nobody.
             for cluster in self._clusters:
-                if cluster.name == pinned and cluster.routable and getattr(cluster, "available", True):
+                if cluster.name == pinned and cluster.routable and cluster.available:
                     self.traffic[cluster.name].note_submitted(request)
                     return cluster
-            raise RuntimeError(
-                f"tenant {request.tenant!r} is pinned to cluster {pinned!r}, which is not routable"
-            )
-        candidates = [
-            c for c in self._clusters if c.routable and getattr(c, "available", True)
-        ]
+            return None
+        candidates = [c for c in self._clusters if c.routable and c.available]
         if not candidates:
-            raise RuntimeError("fleet has no routable cluster")
+            return None
         if exclude:
             excluded = {exclude} if isinstance(exclude, str) else set(exclude)
             filtered = [c for c in candidates if c.name not in excluded]
@@ -443,10 +438,11 @@ class FleetRouter:
 
     def note_completed(self, cluster_name: str, request: Request) -> None:
         """Record a completion (wired to each cluster scheduler's hook)."""
-        self.traffic[cluster_name].note_completed(request)
+        mean_tbt = request.mean_tbt
+        self.traffic[cluster_name].note_completed(request, mean_tbt)
         health = self._health.get(cluster_name)
         if health is not None:
-            health.record(self._is_error(request), self._now())
+            health.record(self._is_error(request, mean_tbt), self._now())
 
     def note_failure(self, cluster_name: str) -> None:
         """Record a machine failure on a cluster as a reliability error."""
@@ -485,8 +481,8 @@ class FleetRouter:
         """Total reliability bans issued across the fleet so far."""
         return sum(health.bans for health in self._health.values())
 
-    def _is_error(self, request: Request) -> bool:
-        """Classify a completion as an SLO-violating error via the reference model."""
+    def _is_error(self, request: Request, mean_tbt: float | None) -> bool:
+        """Classify a completion (its ``mean_tbt`` passed in) as an SLO-violating error."""
         reliability = self.reliability
         reference = self.reference_model
         if reference is None or reliability is None:
@@ -496,7 +492,6 @@ class FleetRouter:
             reference_ttft = reference.ttft(request.prompt_tokens)
             if reference_ttft > 0 and ttft / reference_ttft > reliability.ttft_slowdown_limit:
                 return True
-        mean_tbt = request.mean_tbt
         if mean_tbt is not None:
             reference_tbt = reference.tbt(1)
             if reference_tbt > 0 and mean_tbt / reference_tbt > reliability.tbt_slowdown_limit:

@@ -34,8 +34,9 @@ def census(
     """Exact outcome counts of a drained run.
 
     Every submitted request ends in exactly one terminal outcome: completed,
-    shed (rejected by admission control) or expired (cancelled by a deadline
-    or an exhausted retry budget).  So the returned ``submitted``,
+    shed (rejected by admission control, or by a fleet with no cluster able
+    to take it) or expired (cancelled by a deadline or an exhausted retry
+    budget).  So the returned ``submitted``,
     ``completed``, ``shed`` and ``expired`` counts satisfy
     ``completed + shed + expired == submitted``; ``degraded`` counts the
     completions served with a truncated output budget (a subset of

@@ -73,8 +73,9 @@ class Request:
             machines cannot starve it after preemption).
         restarts: Number of times the request was restarted from scratch after
             a machine failure (§IV-E: Splitwise restarts failed requests).
-        shed: Whether fleet admission control rejected the request up front
-            (it was never routed and will never complete).
+        shed: Whether the fleet rejected the request for good: admission
+            control up front, or no cluster could take it (it will never
+            complete).
         ttft_deadline_s: TTFT deadline in seconds from arrival (``None`` when
             no deadline applies — either none was configured, or the
             lifecycle layer resolved a per-tenant default onto this slot).

@@ -15,9 +15,10 @@ Decomposability (:func:`plan_shards`) is conservative: a fleet qualifies for
 parallel execution only when no component feeds cross-cluster state back
 into routing or scheduling mid-run (each coupling it checks is a recorded
 reason).  Plain machine failure injections *are* shard-local (requests
-restart on the surviving machines of the same cluster) and stay eligible.
-Anything else falls back to the exact serial code path, so results are
-trivially byte-identical.
+restart on the surviving machines of the same cluster) and stay eligible,
+unless they fail every machine of a cluster: its work must then reroute to
+other clusters.  Anything else falls back to the exact serial code path, so
+results are trivially byte-identical.
 
 Determinism of the parallel path rests on three facts, each load-bearing:
 
@@ -128,12 +129,15 @@ class ShardResult:
     machine_stats: dict[str, dict[str, dict]]
 
 
-def plan_shards(fleet: "FleetSimulation", requested: int) -> ShardPlan:
+def plan_shards(
+    fleet: "FleetSimulation", requested: int, failures: Sequence[tuple[float, str]] = ()
+) -> ShardPlan:
     """Decide whether (and how) a fleet run can execute as parallel shards.
 
     Args:
         fleet: The fleet about to run.
         requested: Requested worker count (``parallel=N``, must be >= 1).
+        failures: The run's ``(time_s, machine_name)`` failure injections.
 
     Returns:
         A :class:`ShardPlan`; ``mode == "serial"`` lists every coupling that
@@ -161,6 +165,9 @@ def plan_shards(fleet: "FleetSimulation", requested: int) -> ShardPlan:
         reasons.append("armed fault plane injects correlated cross-cluster outages")
     if fleet.obs is not None:
         reasons.append("observability plane records one fleet-wide timeline")
+    for cluster in fleet.clusters:
+        if cluster.simulation.lost_at(failures) is not None:
+            reasons.append(f"failure injections fail every machine of {cluster.name}: its work reroutes")
     if reasons:
         return ShardPlan(
             requested=requested,

@@ -8,6 +8,7 @@ produce the traces that drive the cluster simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -44,20 +45,15 @@ class TraceGenerator:
         prompts = self.workload.prompt_tokens.sample(rng, count)
         outputs = self.workload.output_tokens.sample(rng, count)
         # One conversion per array instead of a numpy scalar per field.
-        columns = zip(
-            np.asarray(arrivals, dtype=np.float64).tolist(),
-            np.asarray(prompts, dtype=np.int64).tolist(),
-            np.asarray(outputs, dtype=np.int64).tolist(),
-        )
         requests = tuple(
-            RequestDescriptor(
-                request_id=i,
-                arrival_time_s=arrival,
-                prompt_tokens=prompt,
-                output_tokens=output,
-                tenant=self.tenant,
+            map(
+                RequestDescriptor,
+                range(count),
+                np.asarray(arrivals, dtype=np.float64).tolist(),
+                np.asarray(prompts, dtype=np.int64).tolist(),
+                np.asarray(outputs, dtype=np.int64).tolist(),
+                repeat(self.tenant, count),
             )
-            for i, (arrival, prompt, output) in enumerate(columns)
         )
         name = f"{self.workload.name}-{self.arrival.rate_rps:g}rps-seed{self.seed}"
         metadata = {

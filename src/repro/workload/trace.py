@@ -18,7 +18,7 @@ all the way into the fleet's per-tenant SLO report.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -26,9 +26,15 @@ from typing import Iterable, Iterator, Sequence
 DEFAULT_TENANT = "default"
 
 
-@dataclass(frozen=True)
 class RequestDescriptor:
     """One inference request as described by a trace.
+
+    A plain ``__slots__`` class rather than a frozen dataclass: a trace of
+    tens of thousands of requests builds one descriptor per request, and the
+    frozen dataclass's ``object.__setattr__`` per field made that most of a
+    fleet run's set-up.  Descriptors compare and hash by value over their
+    seven fields, like the dataclass did, so they must not be mutated; derive
+    a changed copy with :meth:`replace`.
 
     Attributes:
         request_id: Unique identifier within the trace.
@@ -43,29 +49,85 @@ class RequestDescriptor:
             fleet's request-lifecycle layer; ``None`` defers to it.
         e2e_deadline_s: Optional per-request end-to-end deadline (seconds
             from arrival).  Same precedence as ``ttft_deadline_s``.
+
+    Raises:
+        ValueError: for a negative arrival time, fewer than one prompt or
+            output token, an empty tenant, or a non-positive deadline.
     """
 
-    request_id: int
-    arrival_time_s: float
-    prompt_tokens: int
-    output_tokens: int
-    tenant: str = DEFAULT_TENANT
-    ttft_deadline_s: float | None = None
-    e2e_deadline_s: float | None = None
+    __slots__ = (
+        "request_id",
+        "arrival_time_s",
+        "prompt_tokens",
+        "output_tokens",
+        "tenant",
+        "ttft_deadline_s",
+        "e2e_deadline_s",
+    )
 
-    def __post_init__(self) -> None:
-        if self.arrival_time_s < 0:
-            raise ValueError(f"arrival_time_s must be non-negative, got {self.arrival_time_s}")
-        if self.prompt_tokens < 1:
-            raise ValueError(f"prompt_tokens must be >= 1, got {self.prompt_tokens}")
-        if self.output_tokens < 1:
-            raise ValueError(f"output_tokens must be >= 1, got {self.output_tokens}")
-        if not self.tenant:
+    def __init__(
+        self,
+        request_id: int,
+        arrival_time_s: float,
+        prompt_tokens: int,
+        output_tokens: int,
+        tenant: str = DEFAULT_TENANT,
+        ttft_deadline_s: float | None = None,
+        e2e_deadline_s: float | None = None,
+    ) -> None:
+        if arrival_time_s < 0:
+            raise ValueError(f"arrival_time_s must be non-negative, got {arrival_time_s}")
+        if prompt_tokens < 1:
+            raise ValueError(f"prompt_tokens must be >= 1, got {prompt_tokens}")
+        if output_tokens < 1:
+            raise ValueError(f"output_tokens must be >= 1, got {output_tokens}")
+        if not tenant:
             raise ValueError("tenant must be a non-empty string")
-        for name in ("ttft_deadline_s", "e2e_deadline_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+        if ttft_deadline_s is not None and ttft_deadline_s <= 0:
+            raise ValueError(f"ttft_deadline_s must be > 0, got {ttft_deadline_s}")
+        if e2e_deadline_s is not None and e2e_deadline_s <= 0:
+            raise ValueError(f"e2e_deadline_s must be > 0, got {e2e_deadline_s}")
+        self.request_id = request_id
+        self.arrival_time_s = arrival_time_s
+        self.prompt_tokens = prompt_tokens
+        self.output_tokens = output_tokens
+        self.tenant = tenant
+        self.ttft_deadline_s = ttft_deadline_s
+        self.e2e_deadline_s = e2e_deadline_s
+
+    def _values(self) -> tuple:
+        return (
+            self.request_id,
+            self.arrival_time_s,
+            self.prompt_tokens,
+            self.output_tokens,
+            self.tenant,
+            self.ttft_deadline_s,
+            self.e2e_deadline_s,
+        )
+
+    def replace(self, **changes) -> "RequestDescriptor":
+        """A copy with ``changes`` (field name -> value) applied and checked anew.
+
+        Raises:
+            TypeError: for a name that is not a field.
+            ValueError: for a value the constructor rejects.
+        """
+        values = dict(zip(self.__slots__, self._values()))
+        values.update(changes)
+        return RequestDescriptor(**values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"RequestDescriptor({values})"
 
 
 @dataclass(frozen=True)
@@ -83,11 +145,15 @@ class Trace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        arrivals = [r.arrival_time_s for r in self.requests]
-        if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-            object.__setattr__(
-                self, "requests", tuple(sorted(self.requests, key=lambda r: r.arrival_time_s))
-            )
+        last = 0.0  # descriptors reject negative arrival times
+        for request in self.requests:
+            arrival = request.arrival_time_s
+            if arrival < last:
+                object.__setattr__(
+                    self, "requests", tuple(sorted(self.requests, key=lambda r: r.arrival_time_s))
+                )
+                return
+            last = arrival
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -118,10 +184,7 @@ class Trace:
     ) -> "Trace":
         """Build a trace from ``(arrival_time_s, prompt_tokens, output_tokens)`` rows."""
         requests = tuple(
-            RequestDescriptor(
-                request_id=i, arrival_time_s=float(t), prompt_tokens=int(p), output_tokens=int(o)
-            )
-            for i, (t, p, o) in enumerate(records)
+            RequestDescriptor(i, float(t), int(p), int(o)) for i, (t, p, o) in enumerate(records)
         )
         return cls(requests=requests, name=name, metadata=metadata or {})
 
@@ -146,9 +209,7 @@ class Trace:
         if current == 0:
             raise ValueError("cannot rescale an empty or instantaneous trace")
         factor = current / target_rps
-        requests = tuple(
-            replace(r, arrival_time_s=r.arrival_time_s * factor) for r in self.requests
-        )
+        requests = tuple(r.replace(arrival_time_s=r.arrival_time_s * factor) for r in self.requests)
         return Trace(requests=requests, name=self.name, metadata={**self.metadata, "scaled_to_rps": target_rps})
 
     def tenants(self) -> tuple[str, ...]:

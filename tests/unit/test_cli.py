@@ -137,6 +137,19 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--design", "Splitwise-HH", "--prompt", "1", "--token", "1", "--rate", "2",
+         "--duration", "20", "--failures", "5:prompt-0", "--failures", "6:token-0"],
+        ["scenario", "--preset", "failure-under-load", "--scale", "0.25"],
+    ])
+    def test_failures_that_kill_a_whole_cluster_are_bad_input(self, args, capsys):
+        # Single-cluster failures are permanent; losing every machine used to
+        # end the run in a traceback from the scheduler.
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: failure injections fail every machine of cluster ")
+        assert "(prompt-0, token-0)" in err and "Traceback" not in err
+
     def test_key_error_text_has_no_repr_quotes(self, capsys):
         assert main(["simulate", "--model", "Foo"]) == 1
         assert capsys.readouterr().err.startswith("error: Unknown model 'Foo'")
@@ -227,6 +240,15 @@ class TestFleetCommand:
             goodput = run["tenant_slo"]["fleet"]["goodput"]
             assert goodput is not None and 0 < goodput <= 1, label
         assert first["burst"]["bans_issued"] >= 1  # the router's reliability loop banned
+
+    def test_churn_that_kills_a_whole_cluster_completes(self, capsys):
+        # At scale 0.5 the churn takes cluster-0's third machine and the
+        # preset's own failures the other two: the fleet must route around
+        # the dead cluster instead of ending in a traceback.
+        payload = _fleet_json(capsys, "--preset", "failure-under-load", "--scale", "0.5",
+                              "--chaos", "machine-churn")
+        for label in ("static", "burst"):
+            _assert_census_closes(payload[label], payload["requests"])
 
     def test_reliability_layer_pays_for_itself_under_storm(self, capsys):
         args = ("--preset", "mixed-tenant", "--chaos", "failure-storm", "--clusters", "2",

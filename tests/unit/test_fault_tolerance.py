@@ -68,6 +68,17 @@ class TestMachineFailure:
         with pytest.raises(KeyError, match="no machine named"):
             simulation.scheduler.fail_machine("gpu-42")
 
+    def test_failures_that_fail_every_machine_are_rejected_at_prepare(self):
+        # Failures in a single cluster are permanent: with every machine gone,
+        # the next arrival (or restart) would have nowhere to run.
+        simulation = ClusterSimulation(splitwise_hh(1, 1))
+        failures = [(5.0, "prompt-0"), (9.0, "token-0"), (7.0, "token-0")]
+        assert simulation.lost_at(failures) == 7.0
+        assert simulation.lost_at(failures[:1]) is None
+        with pytest.raises(ValueError, match=r"every machine of cluster .* by t=7\.0 \(prompt-0, token-0\)"):
+            simulation.prepare(failures)
+        assert simulation.engine.pending_events == 0  # rejected before anything was armed
+
 
 class TestClusterLevelRecovery:
     def test_all_requests_complete_despite_token_machine_failure(self, failure_trace):

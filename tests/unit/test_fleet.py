@@ -7,12 +7,15 @@ import pytest
 from repro.core.designs import splitwise_hh
 from repro.fleet import (
     ClusterState,
+    DeadlineConfig,
     FleetProvisioner,
     FleetProvisionerConfig,
     FleetRouter,
     FleetSimulation,
     ROUTER_POLICIES,
+    RetryPolicy,
 )
+from repro.metrics.collectors import census
 from repro.workload.arrival import PoissonArrivalProcess
 from repro.workload.distributions import get_workload
 from repro.workload.generator import TraceGenerator, generate_trace
@@ -277,11 +280,9 @@ class TestFleetProvisioner:
         # Tenant "b" is pinned to cluster-1, which sits idle until b's
         # traffic starts late in the run: the provisioner must not drain it
         # in the meantime (a pinned tenant has nowhere else to go).
-        from dataclasses import replace
-
         early = _tenant_trace("conversation", 3.0, 60.0, seed=1, tenant="a")
         late = _tenant_trace("coding", 2.0, 20.0, seed=2, tenant="b")
-        shifted = tuple(replace(r, arrival_time_s=r.arrival_time_s + 40.0) for r in late)
+        shifted = tuple(r.replace(arrival_time_s=r.arrival_time_s + 40.0) for r in late)
         trace = mix_traces(early, Trace(requests=shifted, name="late"))
         router = FleetRouter("least-outstanding", tenant_pins={"a": "cluster-0", "b": "cluster-1"})
         fleet = _small_fleet(
@@ -335,6 +336,66 @@ class TestFleetProvisioner:
         assert result.clusters[1].state is ClusterState.WARM
         expected_active = result.clusters[0].num_machines * result.duration_s / 3600.0
         assert result.machine_hours() == pytest.approx(expected_active)
+
+
+class TestWholeClusterLoss:
+    """A cluster whose every machine fails serves nobody; its work goes elsewhere or is shed."""
+
+    LOSE_CLUSTER_0 = ((5.0, "cluster-0/prompt-0"), (6.0, "cluster-0/token-0"))
+
+    @staticmethod
+    def _census(result):
+        return census(result.requests, result.requests_shed, result.requests_expired)
+
+    def test_availability_follows_the_roster_and_the_outage_flag(self):
+        cluster = _small_fleet().clusters[0]
+        scheduler = cluster.scheduler
+        assert cluster.available
+        scheduler.fail_machine("cluster-0/prompt-0")
+        assert cluster.available  # a live machine can still run both phases
+        scheduler.fail_machine("cluster-0/token-0")
+        assert not cluster.available
+        scheduler.recover_machine("cluster-0/token-0")
+        assert cluster.available
+        cluster.outage = True
+        assert not cluster.available
+
+    def test_lost_cluster_work_reroutes_to_the_survivor(self):
+        result = _small_fleet().run(_quick_trace(), failures=self.LOSE_CLUSTER_0)
+        lost, survivor = result.clusters
+        assert not lost.available and survivor.available
+        assert result.completion_rate == 1.0
+        assert self._census(result)["completed"] == len(result.requests)
+        # Nothing arriving after the loss went to the lost cluster, and the
+        # requests its last failure displaced finished on the survivor.
+        assert all(r.arrival_time <= 6.0 and r.completion_time <= 6.0 for r in lost.requests)
+        displaced = [r for r in survivor.requests if r.restarts]
+        assert displaced and all(r.arrival_time <= 6.0 for r in displaced)
+
+    def test_requests_no_cluster_can_take_are_shed(self):
+        fleet = _small_fleet(num_clusters=1)
+        result = fleet.run(_quick_trace(), failures=self.LOSE_CLUSTER_0)
+        counts = self._census(result)
+        assert counts["shed"] > 0 and counts["completed"] > 0
+        assert counts["completed"] + counts["shed"] == counts["submitted"] == len(result.requests)
+        assert all(r.completion_time <= 6.0 for r in result.requests if r.is_complete)
+
+    def test_shed_requests_settle_their_lifecycle(self):
+        # With retries and deadlines armed, a request shed for want of a
+        # cluster must not also expire when its deadline timer comes due.
+        fleet = _small_fleet(num_clusters=1, retry=RetryPolicy(), deadlines=DeadlineConfig(e2e_s=40.0))
+        result = fleet.run(_quick_trace(), failures=self.LOSE_CLUSTER_0)
+        counts = self._census(result)
+        assert counts["shed"] > 0 and counts["expired"] == 0
+        assert counts["completed"] + counts["shed"] == counts["submitted"]
+        assert result.duration_s < 40.0  # no deadline timer outlived its shed request
+
+    def test_sharded_run_falls_back_when_a_cluster_is_lost(self):
+        fleet = _small_fleet(router="weighted-rr", parallel=2)
+        result = fleet.run(_quick_trace(), failures=self.LOSE_CLUSTER_0)
+        assert fleet.parallel_info["mode"] == "serial"
+        assert any("cluster-0" in reason for reason in fleet.parallel_info["reasons"])
+        assert result.completion_rate == 1.0
 
 
 class TestTenantThreading:

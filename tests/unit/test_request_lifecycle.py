@@ -20,6 +20,7 @@ from repro.fleet import (
     HedgeConfig,
     RetryPolicy,
 )
+from repro.fleet.reliability import _CLONE_OFFSET
 from repro.metrics.collectors import census
 from repro.simulation.request import RequestPhase
 from repro.workload.arrival import PoissonArrivalProcess
@@ -331,6 +332,30 @@ class TestHedgingInFleet:
             r.completion_time for r in hedged.requests
         ]
         assert hedged.duration_s == pytest.approx(plain.duration_s)
+
+    def test_hedge_clone_keeps_tenant_and_deadlines(self):
+        base = _quick_trace(rate=6.0, duration=20.0)
+        trace = Trace(
+            requests=tuple(r.replace(tenant="chat", ttft_deadline_s=500.0, e2e_deadline_s=900.0) for r in base),
+            name="tagged",
+        )
+        fleet = _small_fleet(hedge=HedgeConfig(min_delay_s=0.05, p99_multiplier=0.1))
+        clones = []
+        submit = fleet._submit_attempt
+
+        def recording_submit(request, exclude=None):
+            if request.request_id >= _CLONE_OFFSET:
+                clones.append(request)
+            submit(request, exclude=exclude)
+
+        fleet._submit_attempt = recording_submit
+        result = fleet.run(trace)
+        assert clones and len(clones) == result.lifecycle.hedges_launched
+        by_id = {r.request_id: r for r in result.requests}
+        for clone in clones:
+            primary = by_id[clone.request_id - _CLONE_OFFSET]
+            assert clone.descriptor == primary.descriptor.replace(request_id=clone.request_id)
+            assert (clone.tenant, clone.ttft_deadline_s, clone.e2e_deadline_s) == ("chat", 500.0, 900.0)
 
     def test_hedge_fires_and_stays_census_closed_under_slow_cluster(self):
         # An aggressive hedge delay on a loaded fleet forces launches; every

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.workload.distributions import (
     get_workload,
 )
 from repro.workload.generator import TraceGenerator, generate_trace
+from repro.workload.scenarios import mix_traces
 from repro.workload.trace import RequestDescriptor, Trace
 
 
@@ -146,6 +150,29 @@ class TestArrivalProcesses:
         assert rng.random() == np.random.default_rng(7).random()
 
 
+@dataclasses.dataclass(frozen=True)
+class _DataclassDescriptor:
+    """The descriptor's former frozen-dataclass shape: the reference for eq and hash."""
+
+    request_id: int
+    arrival_time_s: float
+    prompt_tokens: int
+    output_tokens: int
+    tenant: str = "default"
+    ttft_deadline_s: float | None = None
+    e2e_deadline_s: float | None = None
+
+
+_FULL = dict(request_id=3, arrival_time_s=1.25, prompt_tokens=512, output_tokens=40, tenant="coding",
+             ttft_deadline_s=2.0, e2e_deadline_s=30.0)
+
+
+def _metadata(request):
+    """Every descriptor field but the id and the arrival time."""
+    return (request.prompt_tokens, request.output_tokens, request.tenant, request.ttft_deadline_s,
+            request.e2e_deadline_s)
+
+
 class TestRequestDescriptor:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +181,69 @@ class TestRequestDescriptor:
             RequestDescriptor(request_id=0, arrival_time_s=0, prompt_tokens=0, output_tokens=1)
         with pytest.raises(ValueError):
             RequestDescriptor(request_id=0, arrival_time_s=0, prompt_tokens=1, output_tokens=0)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"arrival_time_s": -0.5}, "arrival_time_s must be non-negative, got -0.5"),
+        ({"prompt_tokens": 0}, "prompt_tokens must be >= 1, got 0"),
+        ({"output_tokens": -2}, "output_tokens must be >= 1, got -2"),
+        ({"tenant": ""}, "tenant must be a non-empty string"),
+        ({"ttft_deadline_s": 0.0}, "ttft_deadline_s must be > 0, got 0.0"),
+        ({"e2e_deadline_s": -1.0}, "e2e_deadline_s must be > 0, got -1.0"),
+    ])
+    def test_each_check_keeps_its_message(self, change, message):
+        with pytest.raises(ValueError) as raised:
+            RequestDescriptor(**{**_FULL, **change})
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            RequestDescriptor(**_FULL).replace(**change)
+        assert str(raised.value) == message
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert RequestDescriptor(*_FULL.values()) == RequestDescriptor(**_FULL)
+        short = RequestDescriptor(0, 0.0, 8, 4)
+        assert (short.tenant, short.ttft_deadline_s, short.e2e_deadline_s) == ("default", None, None)
+
+    @pytest.mark.parametrize("change", [{}, {"tenant": "default", "ttft_deadline_s": None}, {"request_id": 4},
+                                        {"arrival_time_s": 1.5}, {"e2e_deadline_s": None}])
+    def test_equality_and_hash_match_the_dataclass(self, change):
+        fields = {**_FULL, **change}
+        descriptor, reference = RequestDescriptor(**fields), _DataclassDescriptor(**fields)
+        assert hash(descriptor) == hash(reference)
+        assert (descriptor == RequestDescriptor(**_FULL)) == (reference == _DataclassDescriptor(**_FULL))
+        assert descriptor == RequestDescriptor(**fields) and not descriptor != RequestDescriptor(**fields)
+        assert len({descriptor, RequestDescriptor(**fields)}) == 1
+        assert descriptor != reference and descriptor != tuple(fields.values())
+
+    def test_pickle_round_trip(self):
+        descriptor = RequestDescriptor(**_FULL)
+        restored = pickle.loads(pickle.dumps(descriptor))
+        assert restored == descriptor and hash(restored) == hash(descriptor)
+        assert restored is not descriptor and type(restored) is RequestDescriptor
+
+    def test_replace_changes_only_the_named_fields(self):
+        descriptor = RequestDescriptor(**_FULL)
+        moved = descriptor.replace(request_id=9, arrival_time_s=4.0)
+        assert (moved.request_id, moved.arrival_time_s) == (9, 4.0)
+        assert _metadata(moved) == _metadata(descriptor)
+        assert descriptor == RequestDescriptor(**_FULL)  # the original is untouched
+        with pytest.raises(TypeError):
+            descriptor.replace(priority=1)
+
+    def test_repr_names_every_field(self):
+        assert repr(RequestDescriptor(**_FULL)) == repr(_DataclassDescriptor(**_FULL)).replace(
+            "_DataclassDescriptor", "RequestDescriptor"
+        )
+
+    def test_mix_and_rescale_keep_tenant_and_deadlines(self):
+        first = Trace(requests=(RequestDescriptor(**_FULL), RequestDescriptor(7, 3.0, 64, 8)), name="a")
+        second = Trace(requests=(RequestDescriptor(0, 2.0, 32, 4, "chat", None, 12.0),), name="b")
+        mixed = mix_traces(first, second)
+        assert [r.request_id for r in mixed] == [0, 1, 2]
+        assert [_metadata(r) for r in mixed] == [_metadata(r) for r in (first.requests[0], second.requests[0],
+                                                                        first.requests[1])]
+        scaled = mixed.scaled_to_rate(2 * mixed.request_rate_rps)
+        assert [r.arrival_time_s for r in scaled] == [r.arrival_time_s / 2 for r in mixed]
+        assert [(r.request_id, _metadata(r)) for r in scaled] == [(r.request_id, _metadata(r)) for r in mixed]
 
 
 class TestTrace:
